@@ -302,6 +302,7 @@ class CoxeterSystem:
             self._enumerate_all()
         else:
             self._cache: dict[tuple[int, ...], Element] = {}
+            self._alt_cache: dict[tuple[int, int], Element] = {}
             self._identity = self._element_from_word(())
 
     # -- construction ------------------------------------------------------
@@ -355,6 +356,21 @@ class CoxeterSystem:
             self._cache[word] = elt
         return elt
 
+    def _alternating(self, first: int, length: int) -> Element:
+        # infinite backend only: a canonical word alternates, so its first
+        # letter and length pin it down; generator steps look elements up by
+        # that pair and build no word tuple on a hit
+        key = (first, length)
+        elt = self._alt_cache.get(key)
+        if elt is None:
+            elt = self._element_from_word(_alt_word(first, length))
+            self._alt_cache[key] = elt
+        return elt
+
+    def _check_generator(self, gen: int):
+        if not 1 <= gen <= self.rank:
+            raise ValueError(f"generator index {gen} out of range 1..{self.rank}")
+
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -386,8 +402,8 @@ class CoxeterSystem:
             return [x for x in self._elements if len(x.word) <= max_len]
         out = [self.identity]
         for length in range(1, max_len + 1):
-            out.append(self._element_from_word(_alt_word(1, length)))
-            out.append(self._element_from_word(_alt_word(2, length)))
+            out.append(self._alternating(1, length))
+            out.append(self._alternating(2, length))
         return out
 
     def _check_member(self, a: Element):
@@ -400,8 +416,7 @@ class CoxeterSystem:
         """Canonical element for a product of generators (empty word = 1)."""
         word = tuple(word)
         for g in word:
-            if not 1 <= g <= self.rank:
-                raise ValueError(f"generator index {g} out of range 1..{self.rank}")
+            self._check_generator(g)
         if self.is_finite:
             i = 0
             for g in word:
@@ -433,13 +448,21 @@ class CoxeterSystem:
         """a * s_gen."""
         if self.is_finite:
             return self._elements[self._rmult[a.index][gen - 1]]
-        return self.normal_form(a.word + (gen,))
+        self._check_generator(gen)
+        word = a.word
+        if word and word[-1] == gen:
+            return self._alternating(word[0], len(word) - 1)
+        return self._alternating(word[0] if word else gen, len(word) + 1)
 
     def left_mult(self, a: Element, gen: int) -> Element:
         """s_gen * a."""
         if self.is_finite:
             return self._elements[self._lmult[a.index][gen - 1]]
-        return self.normal_form((gen,) + a.word)
+        self._check_generator(gen)
+        word = a.word
+        if word and word[0] == gen:
+            return self._alternating(3 - gen, len(word) - 1)
+        return self._alternating(gen, len(word) + 1)
 
     def longest_element(self) -> Element:
         if not self.is_finite:

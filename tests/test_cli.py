@@ -8,8 +8,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from heckeflag import cli
-from heckeflag.hecke import HeckeAlgebra
+from heckeflag.hecke import HeckeAlgebra, HeckeElt
+from heckeflag.poly import ONE
 
 
 def run_json(argv):
@@ -179,6 +182,68 @@ def test_verify_detects_mismatches(monkeypatch):
     assert result.exit_code == 2
     assert "MISMATCH" in result.payload
     assert result.diagnostics
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "I2(4)"])
+def test_verify_hecke_ok(label):
+    doc = run_json(["verify", "hecke", "--type", label, "--format", "json"])
+    assert doc["summary"] == "6 checks, 0 mismatches"
+    assert {c["suite"] for c in doc["checks"]} == {f"hecke[{label}]"}
+
+
+def test_verify_hecke_detects_trace_mismatch(monkeypatch):
+    original = HeckeAlgebra.regular_trace
+    monkeypatch.setattr(HeckeAlgebra, "regular_trace",
+                        lambda self, w: original(self, w) + 1)
+    result = cli.run(["verify", "hecke", "--type", "A2", "--format", "json"])
+    assert result.status == "verification_failed"
+    assert result.exit_code == 2
+    checks = {c["check"]: c for c in json.loads(result.payload)["checks"]}
+    bad = checks["q=-1 trace mismatches"]["observed"]
+    assert [row[0] for row in bad] == [[], [1], [2], [1, 2], [2, 1], [1, 2, 1]]
+    # the matrix trace and the diagonal sum still agree; only the public
+    # trace is off by one
+    assert all(row[2] == row[1] + 1 and row[3] == row[1] for row in bad)
+    assert [name for name, c in checks.items() if not c["ok"]] == ["q=-1 trace mismatches"]
+
+
+@pytest.mark.parametrize("wpp, delta", [((), ONE), ((1, 2), -ONE)])
+def test_verify_hecke_detects_q1_violation(monkeypatch, wpp, delta):
+    # perturb one off-diagonal coefficient of T_s1 * T_s2: add a stray T_e,
+    # or cancel T_s1s2 so that the expected term drops out of the support
+    original = HeckeAlgebra.product
+
+    def perturbed(self, a, b):
+        out = original(self, a, b)
+        if [x.word for x in a.terms] == [(1,)] and [x.word for x in b.terms] == [(2,)]:
+            x = self.system.normal_form(wpp)
+            terms = dict(out.terms)
+            terms[x] = out.coefficient(x) + delta
+            return HeckeElt(self, terms)
+        return out
+
+    monkeypatch.setattr(HeckeAlgebra, "product", perturbed)
+    result = cli.run(["verify", "hecke", "--type", "A2", "--format", "json"])
+    assert result.exit_code == 2
+    checks = {c["check"]: c for c in json.loads(result.payload)["checks"]}
+    assert checks["q=1 group-algebra violations"]["observed"] == [[[1], [2], list(wpp)]]
+    assert [name for name, c in checks.items() if not c["ok"]] == [
+        "q=1 group-algebra violations"]
+
+
+@pytest.mark.parametrize("label, order", [("F4", 1152), ("A5", 720)])
+def test_verify_hecke_refuses_large_groups(monkeypatch, label, order):
+    # a missing guard fails fast here instead of running for minutes
+    def no_products(self, a, b):
+        raise AssertionError("the size guard must refuse before any product")
+
+    monkeypatch.setattr(HeckeAlgebra, "product", no_products)
+    result = cli.run(["verify", "hecke", "--type", label])
+    assert result.status == "error"
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert str(order) in result.diagnostics[0]
+    assert str(cli.HECKE_SUITE_MAX_ORDER) in result.diagnostics[0]
 
 
 def test_exit_code_contract():

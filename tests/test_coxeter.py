@@ -406,6 +406,19 @@ def test_generator_changes_length_by_one(label):
             assert abs(system.right_mult(a, g).length - a.length) == 1
 
 
+def test_infinite_dihedral_generator_steps():
+    system = build_system("I2(inf)")
+    for a in system.elements_up_to(30):
+        for g in (1, 2):
+            assert system.right_mult(a, g) is system.normal_form(a.word + (g,))
+            assert system.left_mult(a, g) is system.normal_form((g,) + a.word)
+        for g in (0, 3):
+            with pytest.raises(ValueError):
+                system.right_mult(a, g)
+            with pytest.raises(ValueError):
+                system.left_mult(a, g)
+
+
 @given(st.lists(st.integers(1, 3), max_size=8), st.lists(st.integers(1, 3), max_size=8))
 def test_normal_form_is_multiplicative_a3(u, v):
     a3 = build_system("A3")
