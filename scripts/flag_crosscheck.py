@@ -1,56 +1,37 @@
 #!/usr/bin/env python3
 """Sweep flag spaces and emit the count-report CSV.
 
-For each space the script compares three observed counts with their algebraic
-predictions: the fixed-pair counts against structure constants at q, the
-whole-space counts against the regular trace at q, and the cell counts
-against the fixed-pair counts.  Rows follow the schema
+For each space the script runs `heckeflag verify flags --format csv`, which
+compares three observed counts with their algebraic predictions: the
+fixed-pair counts against structure constants at q, the whole-space counts
+against the regular trace at q, and the cell counts against the fixed-pair
+counts.  The reports are joined under one header; rows follow the schema
 
     n,q,w,z,observed,predicted,match
 
-with z = "total" for whole-space rows.  Exits 2 on any mismatch.
+with z = "total" for whole-space rows.  Exits 2 on any mismatch, 1 on a space
+the command refuses.
 
 Usage: python scripts/flag_crosscheck.py [n q [n q ...]]
 """
 
-import csv
 import sys
 
-from heckeflag import HeckeAlgebra, build_space
-
-
-def rows_for(n, q):
-    space = build_space(n, q)
-    algebra = HeckeAlgebra(space.weyl)
-    s = space.default_torus()
-    base = space.standard_flag
-    word = lambda e: ",".join(map(str, e.word))
-    for wb in space.weyl.elements:
-        other = space.coordinate_flag(wb)
-        z = space.relative_position(base, other)
-        zi = space.weyl.inverse(z)
-        for w in space.weyl.elements:
-            observed = space.count_Z(base, other, w)
-            predicted = algebra.structure_constant(w, zi, zi)(q)
-            yield [n, q, word(w), word(z), observed, predicted, int(observed == predicted)]
-            cell = space.count_Y_cell(s, base, z, w)
-            yield [n, q, word(w), word(z), cell, observed, int(cell == observed)]
-    for w in space.weyl.elements:
-        observed = space.count_Y_total(s, w)
-        predicted = algebra.regular_trace(w)(q)
-        yield [n, q, word(w), "total", observed, predicted, int(observed == predicted)]
+from heckeflag import cli
 
 
 def main():
     args = [int(a) for a in sys.argv[1:]]
     spaces = list(zip(args[::2], args[1::2])) if args else [(2, 3), (2, 5), (2, 7), (3, 5)]
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["n", "q", "w", "z", "observed", "predicted", "match"])
     bad = 0
-    for n, q in spaces:
-        for row in rows_for(n, q):
-            writer.writerow(row)
-            bad += 1 - row[-1]
+    for k, (n, q) in enumerate(spaces):
+        result = cli.cmd_verify("flags", n=n, q=q, fmt="csv")
+        if result.status == "error":
+            print("\n".join(result.diagnostics), file=sys.stderr)
+            return 1
+        header, *rows = result.payload.splitlines(keepends=True)
+        sys.stdout.write("".join(rows if k else [header] + rows))
+        bad += sum(row.rstrip("\n").endswith(",0") for row in rows)
     if bad:
         print(f"{bad} mismatches", file=sys.stderr)
         return 2

@@ -351,16 +351,19 @@ def _flags_suite(n: int, q: int) -> list[dict]:
         other = space.coordinate_flag(wb)
         z = space.relative_position(base, other)
         zi = space.weyl.inverse(z)
+        # one scan of cell(z) per histogram yields the counts of every w
+        pair = space.histogram_Z(base, other)
+        cell = space.histogram_Y_cell(s, base, z)
         for w in space.weyl.elements:
-            observed = space.count_Z(base, other, w)
+            observed = pair.get(w, 0)
             predicted = algebra.structure_constant(w, zi, zi)(q)
             _check(checks, suite, f"count_Z z=[{_word_str(z.word)}] w=[{_word_str(w.word)}]",
                    observed, predicted)
-            cell = space.count_Y_cell(s, base, z, w)
             _check(checks, suite, f"cell=Z z=[{_word_str(z.word)}] w=[{_word_str(w.word)}]",
-                   cell, observed)
+                   cell.get(w, 0), observed)
+    totals = space.histogram_Y_total(s)
     for w in space.weyl.elements:
-        observed = space.count_Y_total(s, w)
+        observed = totals.get(w, 0)
         predicted = algebra.regular_trace(w)(q)
         _check(checks, suite, f"count_Y_total w=[{_word_str(w.word)}]", observed, predicted)
     return checks

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from heckeflag import cli
+from heckeflag.flag import FlagSpace
 from heckeflag.hecke import HeckeAlgebra, HeckeElt
 from heckeflag.poly import ONE
 
@@ -167,6 +168,33 @@ def test_verify_flags_csv_schema():
     assert rows[0] == ["n", "q", "w", "z", "observed", "predicted", "match"]
     assert all(row[6] == "1" for row in rows[1:])
     assert any(row[3] == "total" for row in rows[1:])
+
+
+def test_verify_flags_refuses_large_space(monkeypatch):
+    def no_enumeration(self):
+        raise AssertionError("flag enumeration started")
+
+    monkeypatch.setattr(FlagSpace, "_enumerate_flags", no_enumeration)
+    result = cli.run(["verify", "flags", "--n", "5", "--q", "7"])
+    assert result.exit_code == 1
+    assert "510902400 flags" in result.diagnostics[0]
+
+
+def test_verify_flags_scans_once_per_base_pair(monkeypatch):
+    calls = [0]
+    original = FlagSpace.relative_position
+
+    def counted(self, f1, f2):
+        calls[0] += 1
+        return original(self, f1, f2)
+
+    monkeypatch.setattr(FlagSpace, "relative_position", counted)
+    result = cli.run(["verify", "flags", "--n", "3", "--q", "5"])
+    assert result.status == "ok"
+    # per base pair (6): z in the suite and in histogram_Z, then cell(z) scanned
+    # once for the pair counts and once for the cell counts, so 2 * 6 + 2 * 186;
+    # the totals scan the 186 flags once more
+    assert calls[0] == 2 * 6 + 3 * 186 == 570
 
 
 def test_verify_detects_mismatches(monkeypatch):

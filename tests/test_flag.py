@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from heckeflag.flag import Flag, build_space, canonical_cols
+from heckeflag.flag import FLAG_SPACE_MAX_FLAGS, Flag, FlagSpace, build_space, canonical_cols
 from heckeflag.hecke import HeckeAlgebra
 
 
@@ -93,6 +93,21 @@ def test_build_space_preconditions():
         build_space(5, 5)
 
 
+def _no_enumeration(self):
+    raise AssertionError("flag enumeration started")
+
+
+def test_build_space_size_guard(monkeypatch):
+    # the guard reads the q-factorial alone: no large enumeration ever starts
+    monkeypatch.setattr(FlagSpace, "_enumerate_flags", _no_enumeration)
+    bound = FLAG_SPACE_MAX_FLAGS
+    with pytest.raises(ValueError, match=f"510902400 flags exceed the bound {bound}"):
+        build_space(5, 7)
+    # GL4(F7), 182 400 flags, passes the guard and reaches the enumeration
+    with pytest.raises(AssertionError, match="enumeration started"):
+        build_space(4, 7)
+
+
 def test_enumerated_flags_are_canonical():
     space = build_space(3, 5)
     for f in space.flags[:50]:
@@ -142,6 +157,11 @@ def test_relative_position_rejects_foreign_flag():
     other = build_space(2, 3)
     with pytest.raises(ValueError, match="does not belong"):
         space.relative_position(other.standard_flag, space.standard_flag)
+    with pytest.raises(ValueError, match="does not belong"):
+        space.relative_position(space.standard_flag, other.standard_flag)
+    not_canonical = Flag(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="does not belong"):
+        space.conjugate_flag(space.default_torus(), not_canonical)
 
 
 def test_relative_position_transverse_lines():
@@ -307,3 +327,115 @@ def test_hecke_oracle_gl2():
             assert space.count_Y_cell(s, B, z, w) == space.count_Z(B, Bp, w)
     for w in space.weyl.elements:
         assert space.count_Y_total(s, w) == H.regular_trace(w)(3)
+
+
+# ---------------------------------------------------------------------------
+# the cell scans against full scans with the rank oracle (GL3(F5))
+
+
+def _scaled(space, s, f):
+    """s.f by canonicalising the row-scaled matrix, not by the closed form."""
+    return Flag(canonical_cols([[s[i] * c[i] for i in range(space.n)] for c in f.cols],
+                               space.q))
+
+
+def test_conjugate_flag_closed_form_every_flag():
+    space = build_space(3, 5)
+    for s in (space.default_torus(), (2, 4, 1)):
+        for f in space.flags:
+            assert space.conjugate_flag(s, f) == _scaled(space, s, f)
+
+
+def test_count_z_matches_full_scan_for_arbitrary_bases():
+    space = build_space(3, 5)
+    rng = random.Random(5)
+    fixed = space.torus_fixed_flags(space.default_torus())
+    moving = [f for f in space.flags if f not in fixed]
+    for _ in range(6):
+        base, base2 = rng.sample(moving, 2)
+        z = _pos_oracle(space, base, base2)
+        want = {}
+        for f in space.flags:
+            if _pos_oracle(space, base, f) == z:
+                w = _pos_oracle(space, base2, f)
+                want[w] = want.get(w, 0) + 1
+        for w in space.weyl.elements:
+            assert space.count_Z(base, base2, w) == want.get(w, 0), (base, base2, w.word)
+
+
+def test_count_y_cell_matches_full_scan_for_every_fixed_base():
+    space = build_space(3, 5)
+    for s in (space.default_torus(), (2, 4, 1)):
+        moved = {f: _pos_oracle(space, f, _scaled(space, s, f)) for f in space.flags}
+        for base in space.torus_fixed_flags(s):
+            want = {}
+            for f in space.flags:
+                key = (_pos_oracle(space, base, f), moved[f])
+                want[key] = want.get(key, 0) + 1
+            for z in space.weyl.elements:
+                for w in space.weyl.elements:
+                    assert space.count_Y_cell(s, base, z, w) == want.get((z, w), 0), (
+                        s, base, z.word, w.word)
+
+
+def test_count_y_cell_scans_the_translated_pairs(monkeypatch):
+    # every regular torus gives the same counts, so no count can see a wrong
+    # translation of the base; check the scanned pairs flag by flag instead
+    space = build_space(3, 5)
+    s = (2, 4, 1)
+    scanned = []
+    original = FlagSpace._histogram
+
+    def capture(self, pairs):
+        pairs = list(pairs)
+        scanned.extend(pairs)
+        return original(self, pairs)
+
+    monkeypatch.setattr(FlagSpace, "_histogram", capture)
+    for base in space.torus_fixed_flags(s):
+        for z in space.weyl.elements:
+            scanned.clear()
+            space.histogram_Y_cell(s, base, z)
+            assert len(scanned) == 5**z.length
+            for f, g in scanned:
+                # the flag base.f that (f, g) stands for
+                moved = space.flag_of_matrix(
+                    [[sum(c[k] * base.cols[k][i] for k in range(3)) for i in range(3)]
+                     for c in f.cols])
+                assert _pos_oracle(space, base, moved) == z
+                assert _pos_oracle(space, f, g) == _pos_oracle(
+                    space, moved, _scaled(space, s, moved))
+
+
+# ---------------------------------------------------------------------------
+# work counts: deterministic, independent of the machine
+
+
+def count_positions(monkeypatch):
+    """Count FlagSpace.relative_position calls from here on; returns the counter."""
+    calls = [0]
+    original = FlagSpace.relative_position
+
+    def counted(self, f1, f2):
+        calls[0] += 1
+        return original(self, f1, f2)
+
+    monkeypatch.setattr(FlagSpace, "relative_position", counted)
+    return calls
+
+
+def test_count_z_scans_one_cell(monkeypatch):
+    space = build_space(3, 5)
+    rng = random.Random(2)
+    base = rng.choice(space.flags)
+    base2 = next(f for f in space.flags if space.relative_position(base, f).length == 2)
+    calls = count_positions(monkeypatch)
+    space.count_Z(base, base2, space.weyl.identity)
+    assert calls[0] == 1 + 5**2  # z itself, then one per flag of cell(z)
+
+
+def test_count_y_total_scans_every_flag_once(monkeypatch):
+    space = build_space(3, 5)
+    calls = count_positions(monkeypatch)
+    space.count_Y_total(space.default_torus(), space.weyl.normal_form((1, 2)))
+    assert calls[0] == len(space.flags) == 186
