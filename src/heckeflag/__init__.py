@@ -13,11 +13,12 @@ The main surfaces:
   the degree maximizers, with truncated scans for infinite groups;
 * :mod:`heckeflag.flag` -- complete flags over a prime field, relative
   position, and exhaustive cell/piece counts;
+* :mod:`heckeflag.verify` -- the verification suites, as check records;
 * :mod:`heckeflag.cli` -- the ``heckeflag`` command.
 """
 
 from .coxeter import ConjugacyClass, CoxeterMatrix, CoxeterSystem, Element, build_system
-from .eset import DEFAULT_TRUNCATION, ESetReport, d_and_e_prime, e_set, in_w_bullet
+from .eset import ESetReport, e_set
 from .flag import Flag, FlagSpace, build_space
 from .hecke import HeckeAlgebra, HeckeElt
 from .poly import MINUS_INFINITY, ONE, Q, Q_MINUS_ONE, ZERO, IntPoly
@@ -39,10 +40,7 @@ __all__ = [
     "Q",
     "Q_MINUS_ONE",
     "e_set",
-    "in_w_bullet",
-    "d_and_e_prime",
     "ESetReport",
-    "DEFAULT_TRUNCATION",
     "build_space",
     "FlagSpace",
     "Flag",

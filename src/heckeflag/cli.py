@@ -1,5 +1,5 @@
 """Command-line surface: structure-constant tables, diagonal-support reports,
-regular traces, and the self-contained verification suites.
+regular traces, and the verification suites of heckeflag.verify.
 
 Words on the command line are comma-separated 1-based generator indices; the
 empty string is the identity.  Payload goes to stdout, diagnostics to stderr.
@@ -10,14 +10,14 @@ The verify suites embed their expected values as formulas, not golden files,
 so a fresh checkout self-verifies:
 
     heckeflag verify dihedral
-    heckeflag verify flags --n 2 --q 3
+    heckeflag verify flags --n 2 --q 3 --n 3 --q 5
     heckeflag verify hecke --type A3
     heckeflag verify all
 
-The hecke suite computes each product T_w * T_z once and reads every check
-from it; its q = -1 matrix trace applies sparse generator operators to each
-basis vector.  Both cost O(|W|^2 * l(w0)) generator steps (A4, 120 elements:
-about 2 s on a 2-vCPU x86 host); types with |W| > 400 are refused with exit 1.
+This module parses arguments and renders the suites' check records.  Repeated
+--n/--q pairs run the flags suite on each space in order; its CSV has one
+header and a row n,q,w,z,observed,predicted,match per count, with z = "total"
+for the whole-space counts.
 """
 
 from __future__ import annotations
@@ -28,18 +28,17 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .coxeter import build_system
 from .eset import e_set
-from .flag import build_space
 from .hecke import HeckeAlgebra
 from .poly import IntPoly
+from .verify import _word_str, run_suite
 
 __all__ = ["CommandResult", "main", "cmd_nconst", "cmd_eset", "cmd_trace", "cmd_verify"]
 
 _EXIT_CODES = {"ok": 0, "verification_failed": 2, "error": 1}
-# the hecke suite does |W|^2 products; F4 (1152) and A5 (720) would take minutes
-HECKE_SUITE_MAX_ORDER = 400
 
 
 @dataclass
@@ -61,10 +60,6 @@ def _parse_word(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"malformed word {text!r}: expected comma-separated integers")
-
-
-def _word_str(word) -> str:
-    return ",".join(str(g) for g in word)
 
 
 def _clip(cell: str, limit: int = 48) -> str:
@@ -192,250 +187,45 @@ def cmd_trace(type_spec: str, w_word: str, at: int | None, fmt: str = "table") -
     return CommandResult("ok", payload)
 
 
-# ---------------------------------------------------------------------------
-# verification suites
-
-
-def _check(checks: list, suite: str, name: str, observed, predicted):
-    checks.append(
-        {
-            "suite": suite,
-            "check": name,
-            "observed": observed,
-            "predicted": predicted,
-            "ok": observed == predicted,
-        }
-    )
-
-
-def _dihedral_suite() -> list[dict]:
-    checks: list[dict] = []
-    for n in (2, 3, 4):
-        system = build_system(f"I2({2 * n})")
-        algebra = HeckeAlgebra(system)
-        for k in range(1, n + 1):
-            w = system.normal_form([1, 2] * k)
-            got = sorted(z.to_json() for z in e_set(algebra, w).member_elements())
-            want = sorted(
-                z.to_json() for z in system.elements if z.length >= 2 * n - k + 1
-            )
-            _check(checks, "dihedral", f"I2({2*n}) members((s1s2)^{k})", got, want)
-    system = build_system("I2(inf)")
-    algebra = HeckeAlgebra(system)
-    bound = 14
-    for k in range(1, 6):
-        w = system.normal_form([1, 2] * k)
-        got = [z.to_json() for z in e_set(algebra, w, bound).member_elements()]
-        _check(checks, "dihedral", f"I2(inf) members((s1s2)^{k}) up to {bound}", got, [])
-    w = system.normal_form([1, 2, 1])
-    got = [z.to_json() for z in e_set(algebra, w, bound).member_elements()]
-    want = [
-        [1 if i % 2 == 0 else 2 for i in range(length)] for length in range(2, bound + 1)
-    ]
-    _check(checks, "dihedral", f"I2(inf) members(s1s2s1) up to {bound}", got, want)
-    return checks
-
-
-def _minus_one_traces(system) -> list[int]:
-    """Trace of left multiplication by T_w at q = -1, for every w in order.
-
-    Built from the defining relations alone, independent of HeckeAlgebra:
-    at q = -1 the generator acts by T_s e_x = e_{sx} if sx > x, else
-    -e_{sx} - 2 e_x, so each column has at most two nonzeros.  T_w is applied
-    to each basis vector e_z letter by letter, last letter first, and the
-    z-th entries are summed.  Cost O(|W|^2 * l(w0)) steps on sparse vectors.
-    """
-    elements = system.elements
-    steps = []
-    for g in range(1, system.rank + 1):
-        row = []
-        for x in elements:
-            sx = system.left_mult(x, g)
-            row.append((sx.index, sx.length > x.length))
-        steps.append(row)
-    traces = []
-    for w in elements:
-        letters = [steps[g - 1] for g in reversed(w.word)]
-        total = 0
-        for z in range(len(elements)):
-            vec = {z: 1}
-            for step in letters:
-                out: dict[int, int] = {}
-                for x, c in vec.items():
-                    sx, up = step[x]
-                    if up:
-                        out[sx] = out.get(sx, 0) + c
-                    else:
-                        out[sx] = out.get(sx, 0) - c
-                        out[x] = out.get(x, 0) - 2 * c
-                vec = out
-            total += vec.get(z, 0)
-        traces.append(total)
-    return traces
-
-
-def _hecke_suite(type_spec: str) -> list[dict]:
-    system = build_system(type_spec)
-    if not system.is_finite:
-        raise ValueError("hecke suite needs a finite type")
-    if system.order > HECKE_SUITE_MAX_ORDER:
-        raise ValueError(
-            f"hecke suite on {type_spec} refused: |W| = {system.order} exceeds "
-            f"the bound {HECKE_SUITE_MAX_ORDER} (the suite does |W|^2 products)"
-        )
-    algebra = HeckeAlgebra(system)
-    elements = system.elements
-    w0 = system.longest_element()
-    checks: list[dict] = []
-    suite = f"hecke[{type_spec}]"
-
-    # one product T_w * T_z per pair feeds every check; each list keeps the
-    # (w, z, ...) order of the element enumeration
-    bad_membership, bad_top, bad_deg, bad_pos, bad_q1 = [], [], [], [], []
-    traces = []
-    for w in elements:
-        tw = algebra.t_basis(w)
-        diag_sum = 0
-        for z in elements:
-            prod = algebra.product(tw, algebra.t_basis(z))
-            entry = prod.coefficient(z)
-            diag_sum += entry(-1)
-            if z == w0:
-                # the longest element always carries a nonzero constant of
-                # top degree
-                if not entry:
-                    bad_membership.append(w.to_json())
-                if entry.degree != w.length:
-                    bad_top.append(w.to_json())
-            # diagonal degrees are bounded by l(w) and positive at small q
-            if entry:
-                if entry.degree > w.length:
-                    bad_deg.append((w.to_json(), z.to_json()))
-                for m in (2, 3, 4):
-                    if entry(m) <= 0:
-                        bad_pos.append((w.to_json(), z.to_json(), m))
-            # specializing q = 1 degenerates to the group algebra: T_{wz} alone
-            wz = system.multiply(w, z)
-            wrong = [x for x, p in prod.terms.items() if p(1) != (1 if x == wz else 0)]
-            if wz not in prod.terms:
-                wrong.append(wz)
-            for x in sorted(wrong, key=lambda e: e.index):
-                bad_q1.append((w.to_json(), z.to_json(), x.to_json()))
-        traces.append((algebra.regular_trace(w)(-1), diag_sum))
-
-    # trace at q = -1 agrees with the specialized-algebra matrix trace
-    bad_trace = [
-        (w.to_json(), matrix_trace, poly_trace, diag_sum)
-        for w, matrix_trace, (poly_trace, diag_sum)
-        in zip(elements, _minus_one_traces(system), traces)
-        if not matrix_trace == poly_trace == diag_sum
-    ]
-
-    _check(checks, suite, "w0 membership fails for", bad_membership, [])
-    _check(checks, suite, "top degree != l(w) for", bad_top, [])
-    _check(checks, suite, "degree bound violations", bad_deg, [])
-    _check(checks, suite, "positivity violations at q in {2,3,4}", bad_pos, [])
-    _check(checks, suite, "q=1 group-algebra violations", bad_q1, [])
-    _check(checks, suite, "q=-1 trace mismatches", bad_trace, [])
-    return checks
-
-
-def _flags_suite(n: int, q: int) -> list[dict]:
-    space = build_space(n, q)
-    algebra = HeckeAlgebra(space.weyl)
-    s = space.default_torus()
-    base = space.standard_flag
-    checks: list[dict] = []
-    suite = f"flags[n={n},q={q}]"
-    for wb in space.weyl.elements:
-        other = space.coordinate_flag(wb)
-        z = space.relative_position(base, other)
-        zi = space.weyl.inverse(z)
-        # one scan of cell(z) per histogram yields the counts of every w
-        pair = space.histogram_Z(base, other)
-        cell = space.histogram_Y_cell(s, base, z)
-        for w in space.weyl.elements:
-            observed = pair.get(w, 0)
-            predicted = algebra.structure_constant(w, zi, zi)(q)
-            _check(checks, suite, f"count_Z z=[{_word_str(z.word)}] w=[{_word_str(w.word)}]",
-                   observed, predicted)
-            _check(checks, suite, f"cell=Z z=[{_word_str(z.word)}] w=[{_word_str(w.word)}]",
-                   cell.get(w, 0), observed)
-    totals = space.histogram_Y_total(s)
-    for w in space.weyl.elements:
-        observed = totals.get(w, 0)
-        predicted = algebra.regular_trace(w)(q)
-        _check(checks, suite, f"count_Y_total w=[{_word_str(w.word)}]", observed, predicted)
-    return checks
-
-
-def _flags_csv_rows(n: int, q: int, checks: list[dict]) -> list[list[str]]:
-    # count reports in the documented row schema: n,q,w,z,observed,predicted,match
-    rows = []
-    for c in checks:
-        name = c["check"]
-        if name.startswith("count_Z") or name.startswith("cell=Z"):
-            zpart = name.split("z=[")[1].split("]")[0]
-            wpart = name.split("w=[")[1].split("]")[0]
-        elif name.startswith("count_Y_total"):
-            wpart = name.split("w=[")[1].split("]")[0]
-            zpart = "total"
-        else:
-            continue
-        rows.append(
-            [str(n), str(q), wpart, zpart, str(c["observed"]), str(c["predicted"]),
-             "1" if c["ok"] else "0"]
-        )
-    return rows
-
-
-def cmd_verify(suite: str, type_spec: str = "A3", n: int = 2, q: int = 3,
+def cmd_verify(suite: str, type_spec: str = "A3",
+               spaces: Sequence[tuple[int, int]] = ((2, 3),),
                fmt: str = "table") -> CommandResult:
-    """Run a verification suite; mismatches are listed and set exit code 2."""
+    """Run a verification suite; mismatches are listed and set exit code 2.
+
+    type_spec selects the hecke suite's type, spaces the (n, q) flag spaces of
+    the flags suite, in order.
+    """
     try:
-        if suite == "dihedral":
-            checks = _dihedral_suite()
-        elif suite == "hecke":
-            checks = _hecke_suite(type_spec)
-        elif suite == "flags":
-            checks = _flags_suite(n, q)
-        elif suite == "all":
-            checks = _dihedral_suite()
-            for t in ("A2", "A3", "B3", "I2(4)"):
-                checks += _hecke_suite(t)
-            for nn, qq in ((2, 3), (2, 5), (2, 7), (3, 5)):
-                checks += _flags_suite(nn, qq)
-        else:
-            raise ValueError(f"unknown suite {suite!r}: expected hecke|dihedral|flags|all")
+        checks = run_suite(suite, type_spec, spaces)
     except ValueError as exc:
         return CommandResult("error", diagnostics=[str(exc)])
 
-    failures = [c for c in checks if not c["ok"]]
+    failures = [c for c in checks if not c.ok]
     status = "ok" if not failures else "verification_failed"
     summary = f"{len(checks)} checks, {len(failures)} mismatches"
 
     if fmt == "json":
-        doc = {"status": status, "summary": summary, "checks": checks}
+        doc = {"status": status, "summary": summary, "checks": [c.to_json() for c in checks]}
         payload = json.dumps(doc, indent=2, default=str) + "\n"
-    elif fmt == "csv":
-        if suite == "flags":
-            payload = _render_csv(
-                ["n", "q", "w", "z", "observed", "predicted", "match"],
-                _flags_csv_rows(n, q, checks),
-            )
-        else:
-            rows = [
-                [c["suite"], c["check"], str(c["observed"]), str(c["predicted"]),
-                 "1" if c["ok"] else "0"]
-                for c in checks
-            ]
-            payload = _render_csv(["suite", "check", "observed", "predicted", "ok"], rows)
-    else:
-        shown = failures if failures else checks
+    elif fmt == "csv" and suite == "flags":
         rows = [
-            [c["suite"], c["check"], str(c["observed"]), str(c["predicted"]),
-             "ok" if c["ok"] else "MISMATCH"]
-            for c in shown
+            [str(c.n), str(c.q), _word_str(c.w),
+             c.z if isinstance(c.z, str) else _word_str(c.z),
+             str(c.observed), str(c.predicted), "1" if c.ok else "0"]
+            for c in checks
+        ]
+        payload = _render_csv(["n", "q", "w", "z", "observed", "predicted", "match"], rows)
+    elif fmt == "csv":
+        rows = [
+            [c.suite, c.name, str(c.observed), str(c.predicted), "1" if c.ok else "0"]
+            for c in checks
+        ]
+        payload = _render_csv(["suite", "check", "observed", "predicted", "ok"], rows)
+    else:
+        rows = [
+            [c.suite, c.name, str(c.observed), str(c.predicted),
+             "ok" if c.ok else "MISMATCH"]
+            for c in (failures or checks)
         ]
         payload = _render_table(["suite", "check", "observed", "predicted", "status"], rows)
         payload += summary + "\n"
@@ -484,8 +274,9 @@ def _build_parser() -> _Parser:
                    metavar="suite", help="hecke|dihedral|flags|all")
     p.add_argument("--suite", default=None)
     p.add_argument("--type", default="A3")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--q", type=int, default=3)
+    # repeated --n/--q pairs select several flag spaces, in order
+    p.add_argument("--n", type=int, action="append")
+    p.add_argument("--q", type=int, action="append")
     p.add_argument("--format", **common)
     return parser
 
@@ -503,7 +294,10 @@ def run(argv: list[str] | None = None) -> CommandResult:
         suite = args.suite if args.suite is not None else args.suite_pos
         if suite is None:
             raise ValueError("verify needs a suite: hecke|dihedral|flags|all")
-        return cmd_verify(suite, args.type, args.n, args.q, args.format)
+        ns, qs = args.n or [2], args.q or [3]
+        if len(ns) != len(qs):
+            raise ValueError(f"verify needs one --q per --n: got {len(ns)} --n and {len(qs)} --q")
+        return cmd_verify(suite, args.type, list(zip(ns, qs)), args.format)
     except ValueError as exc:
         return CommandResult("error", diagnostics=[str(exc)])
 

@@ -34,6 +34,7 @@ __all__ = [
     "CoxeterSystem",
     "Element",
     "ConjugacyClass",
+    "MAX_FINITE_ORDER",
     "build_system",
 ]
 
@@ -569,6 +570,9 @@ class CoxeterSystem:
 # parsing
 
 
+# finite systems are enumerated eagerly; larger groups are refused up front
+MAX_FINITE_ORDER = 50_000
+
 _ABCD_RE = re.compile(r"^([ABCD])(\d+)$")
 _I2_RE = re.compile(r"^I2\((inf|\d+)\)$")
 
@@ -597,11 +601,7 @@ def build_system(spec: str) -> CoxeterSystem:
         if n < 1 or (family == "D" and n < 2):
             raise ValueError(f"malformed type spec {spec!r}: rank too small")
         cartan, order = _cartan_and_order(family, n)
-        if order > 50_000:
-            raise ValueError(
-                f"{spec} has {order} elements; eager enumeration targets "
-                "desk-scale groups (at most 50000 elements)"
-            )
+        _check_order(spec, order)
         return _finish_root_system(spec, cartan, order)
     m = _I2_RE.match(spec)
     if m:
@@ -611,6 +611,7 @@ def build_system(spec: str) -> CoxeterSystem:
         bound = int(arg)
         if bound < 2:
             raise ValueError(f"malformed type spec {spec!r}: need m >= 2")
+        _check_order(spec, 2 * bound)
         sys_ = CoxeterSystem(
             spec, _dihedral_matrix(bound), _DihedralModel(bound), dihedral_m=bound
         )
@@ -618,6 +619,14 @@ def build_system(spec: str) -> CoxeterSystem:
             raise AssertionError("dihedral enumeration does not match 2m")
         return sys_
     raise ValueError(f"malformed type spec {spec!r}")
+
+
+def _check_order(spec: str, order: int):
+    if order > MAX_FINITE_ORDER:
+        raise ValueError(
+            f"{spec} has {order} elements; eager enumeration targets "
+            f"desk-scale groups (at most {MAX_FINITE_ORDER} elements)"
+        )
 
 
 def _finish_root_system(label, cartan, order) -> CoxeterSystem:

@@ -20,12 +20,7 @@ from .coxeter import Element
 from .hecke import HeckeAlgebra
 from .poly import IntPoly
 
-__all__ = ["ESetReport", "DEFAULT_TRUNCATION", "e_set", "in_w_bullet", "d_and_e_prime"]
-
-# Conventional bound for infinite systems when a caller must pick one; the
-# dihedral patterns computed here stabilize within a few lengths, so 12 gives
-# a comfortable margin at negligible cost.
-DEFAULT_TRUNCATION = 12
+__all__ = ["ESetReport", "e_set"]
 
 
 @dataclass
@@ -91,30 +86,3 @@ def e_set(algebra: HeckeAlgebra, w: Element, max_len: int | None = None) -> ESet
     e_prime = [z for z, _, deg in members if deg == d] if members else []
     return ESetReport(w=w, members=members, d=d, e_prime=e_prime, truncation=truncation)
 
-
-def in_w_bullet(algebra: HeckeAlgebra, w: Element, max_len: int | None = None) -> bool | None:
-    """Whether the diagonal-support set of w is nonempty.
-
-    Returns True on a witness.  For infinite systems an empty scan up to the
-    bound returns None ("unknown"): truncation cannot certify emptiness.
-    Finite scans are complete, so False would be definitive there (it never
-    occurs: the longest element is always a witness).
-    """
-    report = e_set(algebra, w, max_len)
-    if report.members:
-        return True
-    return False if algebra.system.is_finite else None
-
-
-def d_and_e_prime(
-    algebra: HeckeAlgebra, w: Element, max_len: int | None = None
-) -> tuple[int, list[Element]]:
-    """The maximal diagonal degree and its maximizers.
-
-    For infinite systems the values are relative to the truncated scan:
-    d is a lower bound for the untruncated maximum.
-    """
-    report = e_set(algebra, w, max_len)
-    if not report.members:
-        raise ValueError("diagonal-support set is empty (within the bound)")
-    return report.d, report.e_prime

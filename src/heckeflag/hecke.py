@@ -126,53 +126,17 @@ class HeckeAlgebra:
 
     # -- single-generator steps ----------------------------------------------
 
-    def _right_step(self, terms: dict[Element, IntPoly], gen: int) -> dict:
-        right_mult = self.system.right_mult
-        out: dict[Element, IntPoly] = {}
-        for x, p in terms.items():
-            xs = right_mult(x, gen)
-            if len(xs.word) > len(x.word):
-                acc = out.get(xs)
-                out[xs] = p if acc is None else acc + p
-            else:
-                qp = p.shifted(1)
-                acc = out.get(xs)
-                out[xs] = qp if acc is None else acc + qp
-                acc = out.get(x)
-                dp = qp - p
-                out[x] = dp if acc is None else acc + dp
-        return out
-
-    def _left_step(self, terms: dict[Element, IntPoly], gen: int) -> dict:
-        left_mult = self.system.left_mult
-        out: dict[Element, IntPoly] = {}
-        for x, p in terms.items():
-            sx = left_mult(x, gen)
-            if len(sx.word) > len(x.word):
-                acc = out.get(sx)
-                out[sx] = p if acc is None else acc + p
-            else:
-                qp = p.shifted(1)
-                acc = out.get(sx)
-                out[sx] = qp if acc is None else acc + qp
-                acc = out.get(x)
-                dp = qp - p
-                out[x] = dp if acc is None else acc + dp
-        return out
-
     def mul_right_simple(self, h: HeckeElt, gen: int) -> HeckeElt:
         """h * T_s for a single generator s."""
         self._check_same(h)
-        if not 1 <= gen <= self.system.rank:
-            raise ValueError(f"generator index {gen} out of range")
-        return HeckeElt(self, self._right_step(h.terms, gen))
+        self.system._check_generator(gen)
+        return HeckeElt(self, _step(h.terms, gen, self.system.right_mult))
 
     def mul_left_simple(self, h: HeckeElt, gen: int) -> HeckeElt:
         """T_s * h for a single generator s."""
         self._check_same(h)
-        if not 1 <= gen <= self.system.rank:
-            raise ValueError(f"generator index {gen} out of range")
-        return HeckeElt(self, self._left_step(h.terms, gen))
+        self.system._check_generator(gen)
+        return HeckeElt(self, _step(h.terms, gen, self.system.left_mult))
 
     # -- products --------------------------------------------------------------
 
@@ -190,19 +154,15 @@ class HeckeAlgebra:
         self._check_same(b)
         cost_left = sum(len(y.word) for y in a.terms)
         cost_right = sum(len(z.word) for z in b.terms)
+        right = cost_right <= cost_left
+        kept, expanded = (a, b) if right else (b, a)
+        mult = self.system.right_mult if right else self.system.left_mult
         total: dict[Element, IntPoly] = {}
-        if cost_right <= cost_left:
-            for z, c in b.terms.items():
-                cur = a.terms
-                for gen in z.word:
-                    cur = self._right_step(cur, gen)
-                _accumulate_scaled(total, cur, c)
-        else:
-            for y, c in a.terms.items():
-                cur = b.terms
-                for gen in reversed(y.word):
-                    cur = self._left_step(cur, gen)
-                _accumulate_scaled(total, cur, c)
+        for x, c in expanded.terms.items():
+            cur = kept.terms
+            for gen in x.word if right else reversed(x.word):
+                cur = _step(cur, gen, mult)
+            _accumulate_scaled(total, cur, c)
         return HeckeElt(self, total)
 
     def structure_constant(self, w: Element, wp: Element, wpp: Element) -> IntPoly:
@@ -224,6 +184,25 @@ class HeckeAlgebra:
         for z in self.system.elements:
             acc = acc + self.product(tw, self.t_basis(z)).coefficient(z)
         return acc
+
+
+def _step(terms: dict[Element, IntPoly], gen: int, mult) -> dict:
+    """One generator applied to every term: terms * T_s when mult is the
+    system's right_mult, T_s * terms when it is left_mult."""
+    out: dict[Element, IntPoly] = {}
+    for x, p in terms.items():
+        xs = mult(x, gen)
+        if len(xs.word) > len(x.word):
+            acc = out.get(xs)
+            out[xs] = p if acc is None else acc + p
+        else:
+            qp = p.shifted(1)
+            acc = out.get(xs)
+            out[xs] = qp if acc is None else acc + qp
+            acc = out.get(x)
+            dp = qp - p
+            out[x] = dp if acc is None else acc + dp
+    return out
 
 
 def _accumulate_scaled(total: dict, part: dict, c: IntPoly):

@@ -1,0 +1,239 @@
+"""The verification suites behind ``heckeflag verify``, as ``Check`` records.
+
+Expected values are formulas, not golden files.  ``dihedral`` checks the
+closed-form diagonal-support sets of I2(4), I2(6), I2(8) and I2(inf);
+``hecke`` reads w0 membership and top degree, the degree bound, positivity,
+q = 1 and the q = -1 trace from one product T_w * T_z per pair, in
+O(|W|^2 * l(w0)) generator steps, and refuses |W| > 400; ``flags`` checks
+the paper's identity on GL_n(F_q): fixed-pair counts equal N(w, z^-1, z^-1)(q),
+cell counts equal fixed-pair counts, whole-space counts equal the regular
+trace at q; ``all`` runs the three on fixed small inputs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .coxeter import build_system
+from .eset import e_set
+from .flag import build_space
+from .hecke import HeckeAlgebra
+
+__all__ = ["Check", "HECKE_SUITE_MAX_ORDER", "run_suite"]
+
+# the hecke suite does |W|^2 products; F4 (1152) and A5 (720) would take minutes
+HECKE_SUITE_MAX_ORDER = 400
+
+
+@dataclass(frozen=True)
+class Check:
+    """One compared value; ok is observed == predicted.
+
+    Flag-count checks also carry their space (n, q), w and z as words, with
+    z = "total" for the whole-space counts.
+    """
+
+    suite: str
+    name: str
+    observed: object
+    predicted: object
+    ok: bool
+    n: int | None = None
+    q: int | None = None
+    w: tuple[int, ...] | None = None
+    z: tuple[int, ...] | str | None = None
+
+    def to_json(self) -> dict:
+        return {"suite": self.suite, "check": self.name, "observed": self.observed,
+                "predicted": self.predicted, "ok": self.ok}
+
+
+def _check(suite: str, name: str, observed, predicted, **count) -> Check:
+    return Check(suite, name, observed, predicted, observed == predicted, **count)
+
+
+def _word_str(word) -> str:
+    return ",".join(str(g) for g in word)
+
+
+def run_suite(suite: str, type_spec: str = "A3",
+              spaces: Sequence[tuple[int, int]] = ((2, 3),)) -> list[Check]:
+    """The checks of one suite; type_spec is for hecke, spaces (n, q) for flags."""
+    if suite == "dihedral":
+        return _dihedral_suite()
+    if suite == "hecke":
+        return _hecke_suite(type_spec)
+    if suite == "flags":
+        return [c for n, q in spaces for c in _flags_suite(n, q)]
+    if suite == "all":
+        checks = _dihedral_suite()
+        for t in ("A2", "A3", "B3", "I2(4)"):
+            checks += _hecke_suite(t)
+        for n, q in ((2, 3), (2, 5), (2, 7), (3, 5)):
+            checks += _flags_suite(n, q)
+        return checks
+    raise ValueError(f"unknown suite {suite!r}: expected hecke|dihedral|flags|all")
+
+
+def _dihedral_suite() -> list[Check]:
+    checks: list[Check] = []
+    for n in (2, 3, 4):
+        system = build_system(f"I2({2 * n})")
+        algebra = HeckeAlgebra(system)
+        for k in range(1, n + 1):
+            w = system.normal_form([1, 2] * k)
+            got = sorted(z.to_json() for z in e_set(algebra, w).member_elements())
+            want = sorted(
+                z.to_json() for z in system.elements if z.length >= 2 * n - k + 1
+            )
+            checks.append(_check("dihedral", f"I2({2*n}) members((s1s2)^{k})", got, want))
+    system = build_system("I2(inf)")
+    algebra = HeckeAlgebra(system)
+    bound = 14
+    for k in range(1, 6):
+        w = system.normal_form([1, 2] * k)
+        got = [z.to_json() for z in e_set(algebra, w, bound).member_elements()]
+        checks.append(
+            _check("dihedral", f"I2(inf) members((s1s2)^{k}) up to {bound}", got, []))
+    w = system.normal_form([1, 2, 1])
+    got = [z.to_json() for z in e_set(algebra, w, bound).member_elements()]
+    want = [
+        [1 if i % 2 == 0 else 2 for i in range(length)] for length in range(2, bound + 1)
+    ]
+    checks.append(_check("dihedral", f"I2(inf) members(s1s2s1) up to {bound}", got, want))
+    return checks
+
+
+def _minus_one_traces(system) -> list[int]:
+    """Trace of left multiplication by T_w at q = -1, for every w in order.
+
+    Built from the defining relations alone, independent of HeckeAlgebra:
+    at q = -1 the generator acts by T_s e_x = e_{sx} if sx > x, else
+    -e_{sx} - 2 e_x, so each column has at most two nonzeros.  T_w is applied
+    to each basis vector e_z letter by letter, last letter first, and the
+    z-th entries are summed.  Cost O(|W|^2 * l(w0)) steps on sparse vectors.
+    """
+    elements = system.elements
+    steps = []
+    for g in range(1, system.rank + 1):
+        row = []
+        for x in elements:
+            sx = system.left_mult(x, g)
+            row.append((sx.index, sx.length > x.length))
+        steps.append(row)
+    traces = []
+    for w in elements:
+        letters = [steps[g - 1] for g in reversed(w.word)]
+        total = 0
+        for z in range(len(elements)):
+            vec = {z: 1}
+            for step in letters:
+                out: dict[int, int] = {}
+                for x, c in vec.items():
+                    sx, up = step[x]
+                    if up:
+                        out[sx] = out.get(sx, 0) + c
+                    else:
+                        out[sx] = out.get(sx, 0) - c
+                        out[x] = out.get(x, 0) - 2 * c
+                vec = out
+            total += vec.get(z, 0)
+        traces.append(total)
+    return traces
+
+
+def _hecke_suite(type_spec: str) -> list[Check]:
+    system = build_system(type_spec)
+    if not system.is_finite:
+        raise ValueError("hecke suite needs a finite type")
+    if system.order > HECKE_SUITE_MAX_ORDER:
+        raise ValueError(
+            f"hecke suite on {type_spec} refused: |W| = {system.order} exceeds "
+            f"the bound {HECKE_SUITE_MAX_ORDER} (the suite does |W|^2 products)"
+        )
+    algebra = HeckeAlgebra(system)
+    elements = system.elements
+    w0 = system.longest_element()
+    suite = f"hecke[{type_spec}]"
+
+    # one product T_w * T_z per pair feeds every check; each list keeps the
+    # (w, z, ...) order of the element enumeration
+    bad_membership, bad_top, bad_deg, bad_pos, bad_q1 = [], [], [], [], []
+    traces = []
+    for w in elements:
+        tw = algebra.t_basis(w)
+        diag_sum = 0
+        for z in elements:
+            prod = algebra.product(tw, algebra.t_basis(z))
+            entry = prod.coefficient(z)
+            diag_sum += entry(-1)
+            if z == w0:
+                # the longest element always carries a nonzero constant of
+                # top degree
+                if not entry:
+                    bad_membership.append(w.to_json())
+                if entry.degree != w.length:
+                    bad_top.append(w.to_json())
+            # diagonal degrees are bounded by l(w) and positive at small q
+            if entry:
+                if entry.degree > w.length:
+                    bad_deg.append((w.to_json(), z.to_json()))
+                for m in (2, 3, 4):
+                    if entry(m) <= 0:
+                        bad_pos.append((w.to_json(), z.to_json(), m))
+            # specializing q = 1 degenerates to the group algebra: T_{wz} alone
+            wz = system.multiply(w, z)
+            wrong = [x for x, p in prod.terms.items() if p(1) != (1 if x == wz else 0)]
+            if wz not in prod.terms:
+                wrong.append(wz)
+            for x in sorted(wrong, key=lambda e: e.index):
+                bad_q1.append((w.to_json(), z.to_json(), x.to_json()))
+        traces.append((algebra.regular_trace(w)(-1), diag_sum))
+
+    # trace at q = -1 agrees with the specialized-algebra matrix trace
+    bad_trace = [
+        (w.to_json(), matrix_trace, poly_trace, diag_sum)
+        for w, matrix_trace, (poly_trace, diag_sum)
+        in zip(elements, _minus_one_traces(system), traces)
+        if not matrix_trace == poly_trace == diag_sum
+    ]
+
+    return [
+        _check(suite, "w0 membership fails for", bad_membership, []),
+        _check(suite, "top degree != l(w) for", bad_top, []),
+        _check(suite, "degree bound violations", bad_deg, []),
+        _check(suite, "positivity violations at q in {2,3,4}", bad_pos, []),
+        _check(suite, "q=1 group-algebra violations", bad_q1, []),
+        _check(suite, "q=-1 trace mismatches", bad_trace, []),
+    ]
+
+
+def _flags_suite(n: int, q: int) -> list[Check]:
+    space = build_space(n, q)
+    weyl = space.weyl
+    algebra = HeckeAlgebra(weyl)
+    s = space.default_torus()
+    base = space.standard_flag
+    checks: list[Check] = []
+    suite = f"flags[n={n},q={q}]"
+    for z in weyl.elements:
+        # pos(standard, coordinate_flag(z)) = z, so the pair spans cell(z)
+        other = space.coordinate_flag(z)
+        zi = weyl.inverse(z)
+        # one scan of cell(z) per histogram yields the counts of every w
+        pair = space.histogram_Z(base, other)
+        cell = space.histogram_Y_cell(s, base, z)
+        for w in weyl.elements:
+            observed = pair.get(w, 0)
+            predicted = algebra.structure_constant(w, zi, zi)(q)
+            key = dict(n=n, q=q, w=w.word, z=z.word)
+            label = f"z=[{_word_str(z.word)}] w=[{_word_str(w.word)}]"
+            checks.append(_check(suite, f"count_Z {label}", observed, predicted, **key))
+            checks.append(_check(suite, f"cell=Z {label}", cell.get(w, 0), observed, **key))
+    totals = space.histogram_Y_total(s)
+    for w in weyl.elements:
+        checks.append(_check(suite, f"count_Y_total w=[{_word_str(w.word)}]",
+                             totals.get(w, 0), algebra.regular_trace(w)(q),
+                             n=n, q=q, w=w.word, z="total"))
+    return checks

@@ -7,10 +7,13 @@ import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heckeflag import cli
+from heckeflag import cli, verify
+from heckeflag.coxeter import MAX_FINITE_ORDER, CoxeterSystem
 from heckeflag.flag import FlagSpace
 from heckeflag.hecke import HeckeAlgebra, HeckeElt
 from heckeflag.poly import ONE
@@ -191,10 +194,10 @@ def test_verify_flags_scans_once_per_base_pair(monkeypatch):
     monkeypatch.setattr(FlagSpace, "relative_position", counted)
     result = cli.run(["verify", "flags", "--n", "3", "--q", "5"])
     assert result.status == "ok"
-    # per base pair (6): z in the suite and in histogram_Z, then cell(z) scanned
-    # once for the pair counts and once for the cell counts, so 2 * 6 + 2 * 186;
-    # the totals scan the 186 flags once more
-    assert calls[0] == 2 * 6 + 3 * 186 == 570
+    # per base pair (6): z in histogram_Z, then cell(z) scanned once for the
+    # pair counts and once for the cell counts, so 6 + 2 * 186; the totals
+    # scan the 186 flags once more
+    assert calls[0] == 6 + 3 * 186 == 564
 
 
 def test_verify_detects_mismatches(monkeypatch):
@@ -210,6 +213,48 @@ def test_verify_detects_mismatches(monkeypatch):
     assert result.exit_code == 2
     assert "MISMATCH" in result.payload
     assert result.diagnostics
+
+
+SPACES = ["--n", "2", "--q", "3", "--n", "2", "--q", "5", "--n", "2", "--q", "7",
+          "--n", "3", "--q", "5"]
+
+
+def test_verify_flags_several_spaces_csv():
+    result = cli.run(["verify", "flags", *SPACES, "--format", "csv"])
+    assert result.status == "ok"
+    rows = list(csv.reader(io.StringIO(result.payload)))
+    assert rows.count(rows[0]) == 1
+    # each space in order: 2 * |W|^2 pair and cell rows, then |W| totals
+    spaces = [(row[0], row[1]) for row in rows[1:]]
+    assert spaces == ([("2", "3")] * 10 + [("2", "5")] * 10 + [("2", "7")] * 10
+                      + [("3", "5")] * 78)
+    single = cli.run(["verify", "flags", "--n", "2", "--q", "5", "--format", "csv"])
+    assert single.payload.splitlines()[1:] == result.payload.splitlines()[11:21]
+
+
+def test_verify_flags_several_spaces_detect_mismatches(monkeypatch):
+    original = HeckeAlgebra.structure_constant
+    monkeypatch.setattr(HeckeAlgebra, "structure_constant",
+                        lambda self, w, wp, wpp: original(self, w, wp, wpp) + 1)
+    result = cli.run(["verify", "flags", *SPACES, "--format", "csv"])
+    assert result.exit_code == 2
+    assert result.diagnostics
+
+
+def test_verify_flags_refuses_any_pair():
+    result = cli.run(["verify", "flags", "--n", "2", "--q", "3", "--n", "5", "--q", "7",
+                      "--format", "csv"])
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert "510902400 flags" in result.diagnostics[0]
+
+
+@pytest.mark.parametrize("pairs", [["--n", "2", "--n", "3", "--q", "5"],
+                                   ["--q", "3", "--q", "5"]])
+def test_verify_flags_needs_one_q_per_n(pairs):
+    result = cli.run(["verify", "flags", *pairs])
+    assert result.exit_code == 1
+    assert "one --q per --n" in result.diagnostics[0]
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "I2(4)"])
@@ -271,13 +316,69 @@ def test_verify_hecke_refuses_large_groups(monkeypatch, label, order):
     assert result.exit_code == 1
     assert result.payload == ""
     assert str(order) in result.diagnostics[0]
-    assert str(cli.HECKE_SUITE_MAX_ORDER) in result.diagnostics[0]
+    assert str(verify.HECKE_SUITE_MAX_ORDER) in result.diagnostics[0]
 
 
 def test_exit_code_contract():
     assert cli.CommandResult("ok").exit_code == 0
     assert cli.CommandResult("verification_failed").exit_code == 2
     assert cli.CommandResult("error").exit_code == 1
+
+
+# ---------------------------------------------------------------------------
+# parser robustness: every input exits 0 or 1, never 2, and never raises
+
+
+def _no_huge_enumeration(self):
+    # a dihedral group past the size guard must be refused before this point
+    assert self._dihedral_m is None or 2 * self._dihedral_m <= MAX_FINITE_ORDER
+    return _enumerate_all(self)
+
+
+_enumerate_all = CoxeterSystem._enumerate_all
+
+
+def _assert_exit_contract(argv):
+    with mock.patch.object(CoxeterSystem, "_enumerate_all", _no_huge_enumeration):
+        result = cli.run(argv)
+    assert result.exit_code in (0, 1)
+    if result.exit_code == 1:
+        assert result.diagnostics and all(result.diagnostics)
+    else:
+        assert result.payload
+
+
+def test_nconst_refuses_huge_dihedral(monkeypatch):
+    def no_enumeration(self):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(CoxeterSystem, "_enumerate_all", no_enumeration)
+    result = cli.run(["nconst", "--type", "I2(1000000000)"])
+    assert result.exit_code == 1
+    assert "2000000000 elements" in result.diagnostics[0]
+
+
+@given(st.sampled_from(["nconst", "eset", "trace"]), st.text(max_size=24))
+@settings(max_examples=80, deadline=None)
+def test_fuzz_word_argument(command, text):
+    _assert_exit_contract([command, "--type", "A3", "--w", text])
+
+
+_TYPE_SPECS = st.one_of(
+    # no decimal digits, so no rank beyond the small ones below
+    st.text(st.characters(blacklist_categories=("Nd",)), max_size=12),
+    st.sampled_from(["", "A0", "A-3", "D1", "E8", "H3", "G2", "F4", "X5", "I2()",
+                     "I2(1)", "I2(inf)", "I2(0x10)", " B3 "]),
+    st.tuples(st.sampled_from("ABCD"), st.integers(-1, 4)).map(lambda t: f"{t[0]}{t[1]}"),
+    st.integers(-3, 40).map(lambda m: f"I2({m})"),
+    st.integers(MAX_FINITE_ORDER // 2 + 1, 10**40).map(lambda m: f"I2({m})"),
+)
+
+
+@given(_TYPE_SPECS, st.sampled_from(["", "1", "2,1"]))
+@settings(max_examples=80, deadline=None)
+def test_fuzz_type_argument(spec, word):
+    _assert_exit_contract(["nconst", "--type", spec, "--w", word, "--wp", word])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from heckeflag.coxeter import build_system
+from heckeflag.coxeter import MAX_FINITE_ORDER, CoxeterSystem, build_system
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,24 @@ def test_unsupported_types(bad):
 def test_malformed_specs(bad):
     with pytest.raises(ValueError):
         build_system(bad)
+
+
+def test_dihedral_size_guard(monkeypatch):
+    # I2(m) is refused on 2m alone, before any element is enumerated
+    class Enumerated(Exception):
+        pass
+
+    def no_enumeration(self):
+        raise Enumerated
+
+    monkeypatch.setattr(CoxeterSystem, "_enumerate_all", no_enumeration)
+    with pytest.raises(ValueError, match="2000000000 elements"):
+        build_system("I2(1000000000)")
+    with pytest.raises(ValueError, match=f"{MAX_FINITE_ORDER + 2} elements"):
+        build_system(f"I2({MAX_FINITE_ORDER // 2 + 1})")
+    # the largest allowed order gets as far as the enumeration
+    with pytest.raises(Enumerated):
+        build_system(f"I2({MAX_FINITE_ORDER // 2})")
 
 
 @pytest.mark.parametrize(

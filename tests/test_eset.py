@@ -5,7 +5,7 @@ report invariants."""
 import pytest
 
 from heckeflag.coxeter import build_system
-from heckeflag.eset import DEFAULT_TRUNCATION, d_and_e_prime, e_set, in_w_bullet
+from heckeflag.eset import e_set
 from heckeflag.hecke import HeckeAlgebra
 
 
@@ -48,24 +48,25 @@ def test_infinite_rotation_powers_empty():
 
 
 def test_in_w_bullet():
+    # w is in W_bullet iff its diagonal-support set is nonempty; a truncated
+    # empty scan certifies nothing and says so through its bound
     H3 = algebra("A3")
     for w in H3.system.elements:
-        assert in_w_bullet(H3, w) is True
+        assert e_set(H3, w).members
     Hi = algebra("I2(inf)")
-    assert in_w_bullet(Hi, Hi.system.normal_form([1, 2]), 12) is None
-    assert in_w_bullet(Hi, Hi.system.normal_form([1, 2, 1]), 6) is True
+    rep = e_set(Hi, Hi.system.normal_form([1, 2]), 12)
+    assert rep.members == [] and rep.truncation == 12
+    assert e_set(Hi, Hi.system.normal_form([1, 2, 1]), 6).members
 
 
 def test_d_and_e_prime_examples():
     H = algebra("A2")
     for w in H.system.elements:
-        d, _ = d_and_e_prime(H, w)
-        assert d == w.length
+        assert e_set(H, w).d == w.length
     Hi = algebra("I2(inf)")
-    d, _ = d_and_e_prime(Hi, Hi.system.normal_form([1, 2, 1]), 10)
-    assert d == 2  # strictly below l(s1s2s1) = 3
-    with pytest.raises(ValueError, match="empty"):
-        d_and_e_prime(Hi, Hi.system.normal_form([1, 2]), 10)
+    assert e_set(Hi, Hi.system.normal_form([1, 2, 1]), 10).d == 2  # below l(s1s2s1) = 3
+    rep = e_set(Hi, Hi.system.normal_form([1, 2]), 10)
+    assert rep.d is None and rep.e_prime == [] and rep.truncation == 10
 
 
 def test_full_support_maximizers_sample_a3():
@@ -92,10 +93,6 @@ def test_max_len_rejected_for_finite():
     H = algebra("A2")
     with pytest.raises(ValueError, match="only applies to infinite"):
         e_set(H, H.system.identity, max_len=5)
-
-
-def test_default_truncation_constant():
-    assert DEFAULT_TRUNCATION == 12
 
 
 # ---------------------------------------------------------------------------

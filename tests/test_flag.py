@@ -152,6 +152,18 @@ def test_relative_position_identity():
         assert space.relative_position(f, f) == space.weyl.identity
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_coordinate_flag_lies_in_its_cell(n):
+    # the flags suite scans cell(w) against coordinate_flag(w): the two must
+    # name the same w, by the pivot computation and by the rank oracle
+    space = build_space(n, 5)
+    base = space.standard_flag
+    for w in space.weyl.elements:
+        other = space.coordinate_flag(w)
+        assert space.relative_position(base, other) == w
+        assert _pos_oracle(space, base, other) == w
+
+
 def test_relative_position_rejects_foreign_flag():
     space = build_space(3, 5)
     other = build_space(2, 3)

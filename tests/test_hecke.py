@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckeflag.coxeter import build_system
-from heckeflag.hecke import HeckeAlgebra, HeckeElt, _accumulate_scaled
+from heckeflag.hecke import HeckeAlgebra, HeckeElt, _accumulate_scaled, _step
 from heckeflag.poly import ONE, Q, Q_MINUS_ONE, ZERO, IntPoly
 
 
@@ -23,13 +23,13 @@ def product_fixed_direction(H, a, b, right: bool) -> HeckeElt:
         for z, c in b.terms.items():
             cur = a.terms
             for gen in z.word:
-                cur = H._right_step(cur, gen)
+                cur = _step(cur, gen, H.system.right_mult)
             _accumulate_scaled(total, cur, c)
     else:
         for y, c in a.terms.items():
             cur = b.terms
             for gen in reversed(y.word):
-                cur = H._left_step(cur, gen)
+                cur = _step(cur, gen, H.system.left_mult)
             _accumulate_scaled(total, cur, c)
     return HeckeElt(H, total)
 
@@ -76,6 +76,15 @@ def test_left_step_quadratic():
     s1 = sys_.normal_form([1])
     got = H.mul_left_simple(H.t_basis(s1), 1)
     assert got.terms == {sys_.identity: Q, s1: Q_MINUS_ONE}
+
+
+@pytest.mark.parametrize("gen", [0, 3])
+def test_single_steps_reject_foreign_generators(gen):
+    H = algebra("A2")
+    h = H.one()
+    for step in (H.mul_right_simple, H.mul_left_simple):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+            step(h, gen)
 
 
 # ---------------------------------------------------------------------------
