@@ -26,7 +26,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -233,9 +232,29 @@ def _path_cartan(n: int) -> list[list[int]]:
     return c
 
 
+def _abcd_order(family: str, n: int) -> int | None:
+    """|W| of A_n, B_n/C_n or D_n: (n + 1)!, 2^n n! or 2^(n-1) n!.
+
+    Multiplied up one factor at a time and abandoned (None) as soon as it
+    passes MAX_FINITE_ORDER, so a huge rank is refused after a few steps.
+    """
+    if family == "A":
+        factors = range(2, n + 2)
+    elif family == "D":
+        factors = itertools.chain((n,), range(2, 2 * n - 1, 2))
+    else:
+        factors = range(2, 2 * n + 1, 2)
+    order = 1
+    for f in factors:
+        order *= f
+        if order > MAX_FINITE_ORDER:
+            return None
+    return order
+
+
 def _cartan_and_order(family: str, n: int) -> tuple[list[list[int]], int]:
     if family == "A":
-        return _path_cartan(n), factorial(n + 1)
+        return _path_cartan(n), _abcd_order(family, n)
     if family in ("B", "C"):
         c = _path_cartan(n)
         if n >= 2:
@@ -245,7 +264,7 @@ def _cartan_and_order(family: str, n: int) -> tuple[list[list[int]], int]:
                 c[n - 2][n - 1], c[n - 1][n - 2] = -1, -2
             else:
                 c[n - 2][n - 1], c[n - 1][n - 2] = -2, -1
-        return c, 2**n * factorial(n)
+        return c, _abcd_order(family, n)
     if family == "D":
         c = _path_cartan(n - 1)
         for row in c:
@@ -254,7 +273,7 @@ def _cartan_and_order(family: str, n: int) -> tuple[list[list[int]], int]:
         c[n - 1][n - 1] = 2
         if n >= 3:
             c[n - 3][n - 1] = c[n - 1][n - 3] = -1  # fork at the high end
-        return c, 2 ** (n - 1) * factorial(n)
+        return c, _abcd_order(family, n)
     if family == "G2":
         return [[2, -1], [-3, 2]], 12
     if family == "F4":
@@ -333,6 +352,7 @@ class CoxeterSystem:
             idx += 1
         self._keys = keys
         self._rmult = rmult
+        self._lengths = [len(w) for w in words]
         self._elements = tuple(
             Element(self, w, i) for i, w in enumerate(words)
         )
@@ -600,8 +620,9 @@ def build_system(spec: str) -> CoxeterSystem:
         family, n = m.group(1), int(m.group(2))
         if n < 1 or (family == "D" and n < 2):
             raise ValueError(f"malformed type spec {spec!r}: rank too small")
+        # the closed-form order first: the Cartan matrix alone has n^2 entries
+        _check_order(spec, _abcd_order(family, n))
         cartan, order = _cartan_and_order(family, n)
-        _check_order(spec, order)
         return _finish_root_system(spec, cartan, order)
     m = _I2_RE.match(spec)
     if m:
@@ -621,10 +642,12 @@ def build_system(spec: str) -> CoxeterSystem:
     raise ValueError(f"malformed type spec {spec!r}")
 
 
-def _check_order(spec: str, order: int):
-    if order > MAX_FINITE_ORDER:
+def _check_order(spec: str, order: int | None):
+    # None: the order is only known to pass the cap
+    if order is None or order > MAX_FINITE_ORDER:
+        count = f"more than {MAX_FINITE_ORDER}" if order is None else order
         raise ValueError(
-            f"{spec} has {order} elements; eager enumeration targets "
+            f"{spec} has {count} elements; eager enumeration targets "
             f"desk-scale groups (at most {MAX_FINITE_ORDER} elements)"
         )
 

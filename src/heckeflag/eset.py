@@ -63,26 +63,8 @@ def e_set(algebra: HeckeAlgebra, w: Element, max_len: int | None = None) -> ESet
     report.  Passing max_len for a finite system is an error: the finite scan
     is always complete and a bound would silently change the semantics.
     """
-    system = algebra.system
-    system._check_member(w)
-    if system.is_finite:
-        if max_len is not None:
-            raise ValueError("max_len only applies to infinite systems")
-        candidates = system.elements
-        truncation = None
-    else:
-        if max_len is None:
-            raise ValueError("max_len is required for infinite systems")
-        candidates = system.elements_up_to(max_len)
-        truncation = max_len
-
-    tw = algebra.t_basis(w)
-    members: list[tuple[Element, IntPoly, int]] = []
-    for z in candidates:
-        n = algebra.product(tw, algebra.t_basis(z)).coefficient(z)
-        if n:
-            members.append((z, n, n.degree))
+    members = [(z, n, n.degree) for z, n in algebra.diagonal_row(w, max_len) if n]
     d = max((deg for _, _, deg in members), default=None)
     e_prime = [z for z, _, deg in members if deg == d] if members else []
+    truncation = None if algebra.system.is_finite else max_len
     return ESetReport(w=w, members=members, d=d, e_prime=e_prime, truncation=truncation)
-

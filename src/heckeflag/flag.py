@@ -42,7 +42,9 @@ from typing import Sequence
 
 from .coxeter import CoxeterSystem, Element, build_system
 
-__all__ = ["FLAG_SPACE_MAX_FLAGS", "Flag", "FlagSpace", "build_space", "canonical_cols"]
+__all__ = [
+    "FLAG_SPACE_MAX_FLAGS", "Flag", "FlagSpace", "build_space", "canonical_cols", "check_space",
+]
 
 Matrix = tuple[tuple[int, ...], ...]  # tuple of columns, each a tuple of rows
 
@@ -74,6 +76,33 @@ def _is_prime(q: int) -> bool:
             return False
         d += 1
     return True
+
+
+def check_space(n: int, q: int) -> int:
+    """The flag count of F_q^n, the q-factorial prod_{k<n} (1 + q + ... + q^k).
+
+    Raises ValueError, enumerating nothing, unless 2 <= n <= q - 1, the count
+    is at most FLAG_SPACE_MAX_FLAGS and q is prime.  The product is abandoned
+    as soon as it passes the bound, so a huge n or q is refused after a few
+    multiplications, and primality is tested only on a q under the bound.
+    """
+    if not 2 <= n <= q - 1:
+        raise ValueError(
+            f"need 2 <= n <= q - 1 (got n = {n}, q = {q}): "
+            "no split regular semisimple element over F_q otherwise"
+        )
+    count = 1
+    for k in range(1, n):
+        count *= (q ** (k + 1) - 1) // (q - 1)
+        if count > FLAG_SPACE_MAX_FLAGS:
+            more = "" if k == n - 1 else "more than "
+            raise ValueError(
+                f"flag space of F_{q}^{n} refused: {more}{count} flags exceed "
+                f"the bound {FLAG_SPACE_MAX_FLAGS}"
+            )
+    if not _is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
+    return count
 
 
 def canonical_cols(cols: Sequence[Sequence[int]], q: int) -> Matrix:
@@ -122,21 +151,7 @@ class FlagSpace:
     """
 
     def __init__(self, n: int, q: int):
-        if not _is_prime(q):
-            raise ValueError(f"q = {q} is not prime")
-        if not 2 <= n <= q - 1:
-            raise ValueError(
-                f"need 2 <= n <= q - 1 (got n = {n}, q = {q}): "
-                "no split regular semisimple element over F_q otherwise"
-            )
-        expected = 1  # the q-factorial, prod_{k<n} (1 + q + ... + q^k)
-        for k in range(1, n):
-            expected *= sum(q**i for i in range(k + 1))
-        if expected > FLAG_SPACE_MAX_FLAGS:
-            raise ValueError(
-                f"flag space of F_{q}^{n} refused: {expected} flags exceed "
-                f"the bound {FLAG_SPACE_MAX_FLAGS}"
-            )
+        expected = check_space(n, q)
         self.n = n
         self.q = q
         self.weyl: CoxeterSystem = build_system(f"A{n - 1}")
@@ -350,7 +365,7 @@ class FlagSpace:
 def build_space(n: int, q: int) -> FlagSpace:
     """Enumerate the complete flags of F_q^n (q prime, 2 <= n <= q - 1).
 
-    Raises ValueError before any enumeration when the q-factorial flag count
-    exceeds FLAG_SPACE_MAX_FLAGS.
+    Raises ValueError from check_space before any enumeration, in particular
+    when the q-factorial flag count exceeds FLAG_SPACE_MAX_FLAGS.
     """
     return FlagSpace(n, q)

@@ -11,8 +11,35 @@ elements expand basis terms along reduced words; the structure constants of
 the T-basis and the trace of left multiplication are read off from such
 products.
 
-Everything is exact integer polynomial arithmetic; values are immutable and
-all operations are pure, so concurrent use needs no coordination.
+Inside a product each coefficient p(q) is one packed Python int, p(2^B)
+(Kronecker substitution): adding coefficients is adding ints, multiplying by
+q is ``<< B`` and multiplying two coefficients is multiplying ints, all
+exact.  Digits are balanced, so p decodes uniquely while every coefficient
+has |c| < 2^(B-1).  B comes from a proven bound: a length-raising step moves
+a term, a length-lowering step turns p into q p and (q - 1) p, so a step at
+most triples the l1 norm (the sum of |c| over all terms), and every
+coefficient of a * b is at most |a|_1 |b|_1 3^L, L the longest word
+expanded.  For finite systems terms are keyed by the dense element index and
+a step is a lookup in the system's multiplication rows and length list; for
+the infinite dihedral group terms are keyed by Element and steps go through
+right_mult/left_mult.
+
+Results decode lazily: ``coefficient(w)`` decodes one entry, and ``terms``
+(Element -> IntPoly) is built the first time it is read, so a diagonal scan
+decodes one coefficient per product.
+
+    >>> from heckeflag import build_system
+    >>> H = HeckeAlgebra(build_system("A1"))
+    >>> s = H.t_basis(H.system.normal_form([1]))
+    >>> s * s                                    # the quadratic relation
+    (q)*T[] + (q - 1)*T[1]
+    >>> big = 10**30 * s                         # coefficients far past 64 bits
+    >>> (big * big).coefficient(H.system.identity) == IntPoly((0, 10**60))
+    True
+
+Everything is exact integer arithmetic.  Values are immutable by convention;
+the decoded ``terms`` are cached on first read, and two threads that race to
+build them build equal dicts, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
@@ -26,11 +53,13 @@ __all__ = ["HeckeAlgebra", "HeckeElt"]
 class HeckeElt:
     """A finite formal sum of T-basis terms with IntPoly coefficients.
 
-    ``terms`` maps Element -> IntPoly with no stored zero coefficient.
-    Instances are immutable by convention; use the arithmetic operators.
+    ``terms`` maps Element -> IntPoly with no stored zero coefficient; a
+    product's result holds packed coefficients and builds ``terms`` when it is
+    first read.  Instances are immutable by convention; use the arithmetic
+    operators.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra", "_terms", "_packed", "_width")
 
     def __init__(self, algebra: "HeckeAlgebra", terms: dict[Element, IntPoly]):
         system = algebra.system
@@ -38,10 +67,35 @@ class HeckeElt:
             if w.system is not system:
                 raise ValueError("term keys must belong to the algebra's system")
         self.algebra = algebra
-        self.terms = {w: p for w, p in terms.items() if p}
+        self._terms = {w: p for w, p in terms.items() if p}
+        self._packed = None
+        self._width = 0
+
+    @classmethod
+    def _from_packed(cls, algebra: "HeckeAlgebra", packed: dict, width: int) -> "HeckeElt":
+        # packed maps term keys to coefficients p(2^width); zeros may be stored
+        elt = cls.__new__(cls)
+        elt.algebra = algebra
+        elt._terms = None
+        elt._packed = packed
+        elt._width = width
+        return elt
+
+    @property
+    def terms(self) -> dict[Element, IntPoly]:
+        if self._terms is None:
+            element, width = self.algebra._element, self._width
+            self._terms = {
+                element(k): _decode(v, width) for k, v in self._packed.items() if v
+            }
+        return self._terms
 
     def coefficient(self, w: Element) -> IntPoly:
-        return self.terms.get(w, ZERO)
+        if self._terms is not None:
+            return self._terms.get(w, ZERO)
+        if w.system is not self.algebra.system:
+            return ZERO
+        return _decode(self._packed.get(self.algebra._key(w), 0), self._width)
 
     def support(self) -> list[Element]:
         """Basis elements with nonzero coefficient, by length then word."""
@@ -124,19 +178,46 @@ class HeckeAlgebra:
     def zero(self) -> HeckeElt:
         return HeckeElt(self, {})
 
+    # -- packed terms ------------------------------------------------------------
+
+    def _key(self, w: Element):
+        """The packed-term key of w: its index when finite, else w itself."""
+        return w.index if self.system.is_finite else w
+
+    def _element(self, key) -> Element:
+        return self.system._elements[key] if self.system.is_finite else key
+
+    def _pack(self, h: HeckeElt, width: int) -> dict:
+        base = 1 << width
+        return {self._key(w): p(base) for w, p in h.terms.items()}
+
+    def _tables(self, right: bool):
+        """(rows, lengths) for ``_generator_step``: rows[x][gen - 1] is
+        x*s_gen when right, else s_gen*x, and lengths[x] is the length of x."""
+        system = self.system
+        if system.is_finite:
+            return (system._rmult if right else system._lmult), system._lengths
+        mult = system.right_mult if right else system.left_mult
+        return (_Lookup(lambda x: (mult(x, 1), mult(x, 2))),
+                _Lookup(lambda x: len(x.word)))
+
     # -- single-generator steps ----------------------------------------------
 
     def mul_right_simple(self, h: HeckeElt, gen: int) -> HeckeElt:
         """h * T_s for a single generator s."""
-        self._check_same(h)
-        self.system._check_generator(gen)
-        return HeckeElt(self, _step(h.terms, gen, self.system.right_mult))
+        return self._simple(h, gen, right=True)
 
     def mul_left_simple(self, h: HeckeElt, gen: int) -> HeckeElt:
         """T_s * h for a single generator s."""
+        return self._simple(h, gen, right=False)
+
+    def _simple(self, h: HeckeElt, gen: int, right: bool) -> HeckeElt:
         self._check_same(h)
         self.system._check_generator(gen)
-        return HeckeElt(self, _step(h.terms, gen, self.system.left_mult))
+        width = _width(3 * _measure(h)[2])
+        rows, lengths = self._tables(right)
+        packed = _generator_step(self._pack(h, width), gen - 1, rows, lengths, width)
+        return HeckeElt._from_packed(self, packed, width)
 
     # -- products --------------------------------------------------------------
 
@@ -152,66 +233,128 @@ class HeckeAlgebra:
         """
         self._check_same(a)
         self._check_same(b)
-        cost_left = sum(len(y.word) for y in a.terms)
-        cost_right = sum(len(z.word) for z in b.terms)
-        right = cost_right <= cost_left
+        cost_a, longest_a, norm_a = _measure(a)
+        cost_b, longest_b, norm_b = _measure(b)
+        right = cost_b <= cost_a
         kept, expanded = (a, b) if right else (b, a)
-        mult = self.system.right_mult if right else self.system.left_mult
-        total: dict[Element, IntPoly] = {}
-        for x, c in expanded.terms.items():
-            cur = kept.terms
+        terms = expanded.terms
+        width = _width(norm_a * norm_b * 3 ** (longest_b if right else longest_a))
+        rows, lengths = self._tables(right)
+        start = self._pack(kept, width)
+        total: dict = {}
+        for x, c in terms.items():
+            cur = start
             for gen in x.word if right else reversed(x.word):
-                cur = _step(cur, gen, mult)
-            _accumulate_scaled(total, cur, c)
-        return HeckeElt(self, total)
+                cur = _generator_step(cur, gen - 1, rows, lengths, width)
+            c = c(1 << width)
+            if len(terms) == 1 and c == 1:
+                total = cur
+            else:
+                for k, v in cur.items():
+                    total[k] = total.get(k, 0) + v * c
+        return HeckeElt._from_packed(self, total, width)
 
     def structure_constant(self, w: Element, wp: Element, wpp: Element) -> IntPoly:
         """Coefficient of T_wpp in T_w * T_wp (zero polynomial if absent)."""
         return self.product(self.t_basis(w), self.t_basis(wp)).coefficient(wpp)
 
+    def diagonal_row(self, w: Element, max_len: int | None = None):
+        """Iterator of (z, N(w, z, z)) over every candidate z, in element order.
+
+        N(w, z, z) is the coefficient of T_z in T_w * T_z, one product per z.
+        Finite systems run over the whole group and take no max_len (a bound
+        would silently change the meaning); infinite systems need max_len and
+        run over the elements of length <= max_len.
+        """
+        system = self.system
+        system._check_member(w)
+        if system.is_finite:
+            if max_len is not None:
+                raise ValueError("max_len only applies to infinite systems")
+            candidates = system.elements
+        else:
+            if max_len is None:
+                raise ValueError("max_len is required for infinite systems")
+            candidates = system.elements_up_to(max_len)
+        tw = self.t_basis(w)
+        return ((z, self.product(tw, self.t_basis(z)).coefficient(z)) for z in candidates)
+
     def regular_trace(self, w: Element) -> IntPoly:
         """Trace of left multiplication by T_w on the T-basis.
 
-        Sums the diagonal structure constants over the whole group, one
-        independent product per basis element; finite systems only.  Cost
-        grows with |W|^2 * l(w0), fine at desk scale.
+        Sums the diagonal row of T_w over the whole group; finite systems
+        only.  Cost grows with |W|^2 * l(w0), fine at desk scale.
         """
         if not self.system.is_finite:
             raise ValueError("regular trace needs a finite basis")
-        self.system._check_member(w)
-        tw = self.t_basis(w)
-        acc = ZERO
-        for z in self.system.elements:
-            acc = acc + self.product(tw, self.t_basis(z)).coefficient(z)
-        return acc
+        return sum((n for _, n in self.diagonal_row(w) if n), ZERO)
 
 
-def _step(terms: dict[Element, IntPoly], gen: int, mult) -> dict:
-    """One generator applied to every term: terms * T_s when mult is the
-    system's right_mult, T_s * terms when it is left_mult."""
-    out: dict[Element, IntPoly] = {}
+class _Lookup(dict):
+    """x -> fn(x), computed on first use: a row or length table built on the
+    fly, for systems with no dense index."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(x)
+        return value
+
+
+def _generator_step(terms: dict, g: int, rows, lengths, width: int) -> dict:
+    """Generator s = s_{g+1} applied to every packed term: terms * T_s when
+    rows are right multiplication rows, T_s * terms when they are left ones.
+
+    The pairs {x, xs} with l(xs) = l(x) + 1 partition the group, and a pair
+    maps to itself: p_x T_x + p_xs T_xs goes to q p_xs T_x + (p_x + (q - 1)
+    p_xs) T_xs.  So each output key is written once, from the longer member
+    when it is present and from the shorter one otherwise.
+    """
+    out = {}
     for x, p in terms.items():
-        xs = mult(x, gen)
-        if len(xs.word) > len(x.word):
-            acc = out.get(xs)
-            out[xs] = p if acc is None else acc + p
+        xs = rows[x][g]
+        if lengths[xs] > lengths[x]:
+            if xs not in terms:
+                out[xs] = p
         else:
-            qp = p.shifted(1)
-            acc = out.get(xs)
-            out[xs] = qp if acc is None else acc + qp
-            acc = out.get(x)
-            dp = qp - p
-            out[x] = dp if acc is None else acc + dp
+            qp = p << width
+            out[xs] = qp
+            out[x] = qp - p + terms.get(xs, 0)
     return out
 
 
-def _accumulate_scaled(total: dict, part: dict, c: IntPoly):
-    if c == ONE:
-        for w, p in part.items():
-            acc = total.get(w)
-            total[w] = p if acc is None else acc + p
-    else:
-        for w, p in part.items():
-            cp = p * c
-            acc = total.get(w)
-            total[w] = cp if acc is None else acc + cp
+def _measure(h: HeckeElt) -> tuple[int, int, int]:
+    """(total word length, longest word, l1 norm) of h's terms; the l1 norm
+    is the sum of |c| over every coefficient of every term."""
+    cost = longest = norm = 0
+    for x, p in h.terms.items():
+        n = len(x.word)
+        cost += n
+        if n > longest:
+            longest = n
+        for c in p:
+            norm += abs(c)
+    return cost, longest, norm
+
+
+def _width(bound: int) -> int:
+    """Digit width B holding every coefficient of absolute value <= bound."""
+    return bound.bit_length() + 1
+
+
+def _decode(v: int, width: int) -> IntPoly:
+    """The polynomial p with p(2^width) = v, reading balanced digits."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    coeffs = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        coeffs.append(d)
+        v = (v - d) >> width
+    return IntPoly(coeffs)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .coxeter import build_system
 from .eset import e_set
-from .flag import build_space
+from .flag import build_space, check_space
 from .hecke import HeckeAlgebra
 
 __all__ = ["Check", "HECKE_SUITE_MAX_ORDER", "run_suite"]
@@ -65,6 +65,8 @@ def run_suite(suite: str, type_spec: str = "A3",
     if suite == "hecke":
         return _hecke_suite(type_spec)
     if suite == "flags":
+        for n, q in spaces:
+            check_space(n, q)  # refuse any pair before the first space is built
         return [c for n, q in spaces for c in _flags_suite(n, q)]
     if suite == "all":
         checks = _dihedral_suite()

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckeflag import cli, verify
+from heckeflag import cli, coxeter, verify
 from heckeflag.coxeter import MAX_FINITE_ORDER, CoxeterSystem
 from heckeflag.flag import FlagSpace
 from heckeflag.hecke import HeckeAlgebra, HeckeElt
@@ -249,6 +249,16 @@ def test_verify_flags_refuses_any_pair():
     assert "510902400 flags" in result.diagnostics[0]
 
 
+def test_verify_flags_refuses_a_later_pair_before_any_space(monkeypatch):
+    def no_enumeration(self):
+        raise AssertionError("flag enumeration started")
+
+    monkeypatch.setattr(FlagSpace, "_enumerate_flags", no_enumeration)
+    result = cli.run(["verify", "flags", "--n", "2", "--q", "3", "--n", "5", "--q", "7"])
+    assert result.exit_code == 1
+    assert "510902400 flags" in result.diagnostics[0]
+
+
 @pytest.mark.parametrize("pairs", [["--n", "2", "--n", "3", "--q", "5"],
                                    ["--q", "3", "--q", "5"]])
 def test_verify_flags_needs_one_q_per_n(pairs):
@@ -335,11 +345,20 @@ def _no_huge_enumeration(self):
     return _enumerate_all(self)
 
 
+def _no_huge_cartan(family, n):
+    # every A-D rank from 8 up is past the size guard (A8 has 362880
+    # elements), so it must be refused before its Cartan matrix is built
+    assert n < 8
+    return _cartan_and_order(family, n)
+
+
 _enumerate_all = CoxeterSystem._enumerate_all
+_cartan_and_order = coxeter._cartan_and_order
 
 
 def _assert_exit_contract(argv):
-    with mock.patch.object(CoxeterSystem, "_enumerate_all", _no_huge_enumeration):
+    with mock.patch.object(CoxeterSystem, "_enumerate_all", _no_huge_enumeration), \
+            mock.patch.object(coxeter, "_cartan_and_order", _no_huge_cartan):
         result = cli.run(argv)
     assert result.exit_code in (0, 1)
     if result.exit_code == 1:
@@ -358,6 +377,17 @@ def test_nconst_refuses_huge_dihedral(monkeypatch):
     assert "2000000000 elements" in result.diagnostics[0]
 
 
+@pytest.mark.parametrize("spec", ["A100000", "D100000"])
+def test_nconst_refuses_huge_rank(monkeypatch, spec):
+    def no_cartan(family, n):
+        raise AssertionError("Cartan matrix built")
+
+    monkeypatch.setattr(coxeter, "_cartan_and_order", no_cartan)
+    result = cli.run(["nconst", "--type", spec])
+    assert result.exit_code == 1
+    assert f"{spec} has more than {MAX_FINITE_ORDER} elements" in result.diagnostics[0]
+
+
 @given(st.sampled_from(["nconst", "eset", "trace"]), st.text(max_size=24))
 @settings(max_examples=80, deadline=None)
 def test_fuzz_word_argument(command, text):
@@ -365,11 +395,11 @@ def test_fuzz_word_argument(command, text):
 
 
 _TYPE_SPECS = st.one_of(
-    # no decimal digits, so no rank beyond the small ones below
-    st.text(st.characters(blacklist_categories=("Nd",)), max_size=12),
+    st.text(max_size=12),
     st.sampled_from(["", "A0", "A-3", "D1", "E8", "H3", "G2", "F4", "X5", "I2()",
                      "I2(1)", "I2(inf)", "I2(0x10)", " B3 "]),
     st.tuples(st.sampled_from("ABCD"), st.integers(-1, 4)).map(lambda t: f"{t[0]}{t[1]}"),
+    st.tuples(st.sampled_from("ABCD"), st.integers(8, 10**40)).map(lambda t: f"{t[0]}{t[1]}"),
     st.integers(-3, 40).map(lambda m: f"I2({m})"),
     st.integers(MAX_FINITE_ORDER // 2 + 1, 10**40).map(lambda m: f"I2({m})"),
 )

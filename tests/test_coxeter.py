@@ -7,6 +7,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from heckeflag import coxeter
 from heckeflag.coxeter import MAX_FINITE_ORDER, CoxeterSystem, build_system
 
 
@@ -131,6 +132,25 @@ def test_dihedral_size_guard(monkeypatch):
     # the largest allowed order gets as far as the enumeration
     with pytest.raises(Enumerated):
         build_system(f"I2({MAX_FINITE_ORDER // 2})")
+
+
+def test_root_system_size_guard(monkeypatch):
+    # A-D ranks are refused on the closed-form order alone, before the n x n
+    # Cartan matrix is built
+    class Built(Exception):
+        pass
+
+    def no_cartan(family, n):
+        raise Built
+
+    monkeypatch.setattr(coxeter, "_cartan_and_order", no_cartan)
+    for spec in ("A100000", "D100000", "C10000000000", "A8", "B7", "D7"):
+        with pytest.raises(ValueError, match=f"{spec} has more than {MAX_FINITE_ORDER} elements"):
+            build_system(spec)
+    # the largest allowed ranks get as far as the Cartan matrix (past the cache)
+    for spec in ("A7", "B6", "C6", "D6"):
+        with pytest.raises(Built):
+            build_system.__wrapped__(spec)
 
 
 @pytest.mark.parametrize(

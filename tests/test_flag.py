@@ -8,7 +8,9 @@ import random
 
 import pytest
 
-from heckeflag.flag import FLAG_SPACE_MAX_FLAGS, Flag, FlagSpace, build_space, canonical_cols
+from heckeflag.flag import (
+    FLAG_SPACE_MAX_FLAGS, Flag, FlagSpace, build_space, canonical_cols, check_space,
+)
 from heckeflag.hecke import HeckeAlgebra
 
 
@@ -106,6 +108,25 @@ def test_build_space_size_guard(monkeypatch):
     # GL4(F7), 182 400 flags, passes the guard and reaches the enumeration
     with pytest.raises(AssertionError, match="enumeration started"):
         build_space(4, 7)
+
+
+def test_check_space_refuses_huge_inputs_quickly():
+    # the q-factorial is abandoned once past the bound, and primality is only
+    # tested below it: a huge prime q, a huge n or a huge composite q is
+    # refused after a few multiplications, with no trial division
+    bound = FLAG_SPACE_MAX_FLAGS
+    big_prime = 2**127 - 1
+    refused = f"refused: {big_prime + 1} flags exceed the bound {bound}"
+    with pytest.raises(ValueError, match=refused):
+        check_space(2, big_prime)
+    with pytest.raises(ValueError, match=f"refused: more than {10**6 + 4} flags"):
+        check_space(10**6, 10**6 + 3)
+    with pytest.raises(ValueError, match=f"refused: more than {8 * 57 * 400 * 2801} flags"):
+        check_space(6, 7)
+    with pytest.raises(ValueError, match="flags exceed"):
+        check_space(3, 10**40)
+    assert check_space(4, 7) == 182400
+    assert check_space(3, 5) == 186
 
 
 def test_enumerated_flags_are_canonical():

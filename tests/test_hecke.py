@@ -1,14 +1,17 @@
 """Hecke algebra tests: the defining relations, frozen hand expansions, the
-group-algebra degeneration at q = 1, degree and positivity facts, and the
-equivalence of the two product expansion directions."""
+group-algebra degeneration at q = 1, degree and positivity facts, the
+equivalence of the two product expansion directions, and the packed kernel
+against a plain IntPoly reference step."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckeflag import hecke
 from heckeflag.coxeter import build_system
-from heckeflag.hecke import HeckeAlgebra, HeckeElt, _accumulate_scaled, _step
+from heckeflag.eset import e_set
+from heckeflag.hecke import HeckeAlgebra, HeckeElt
 from heckeflag.poly import ONE, Q, Q_MINUS_ONE, ZERO, IntPoly
 
 
@@ -16,21 +19,31 @@ def algebra(label):
     return HeckeAlgebra(build_system(label))
 
 
+def reference_step(terms, gen, mult):
+    # the defining relation on Element -> IntPoly dicts, sharing nothing with
+    # the packed kernel: terms * T_s for right_mult, T_s * terms for left_mult
+    out = {}
+    for x, p in terms.items():
+        xs = mult(x, gen)
+        if xs.length > x.length:
+            out[xs] = out.get(xs, ZERO) + p
+        else:
+            out[xs] = out.get(xs, ZERO) + p.shifted(1)
+            out[x] = out.get(x, ZERO) + p.shifted(1) - p
+    return out
+
+
 def product_fixed_direction(H, a, b, right: bool) -> HeckeElt:
-    # reference implementations of the two expansion directions
+    # reference products along either expansion direction
     total = {}
-    if right:
-        for z, c in b.terms.items():
-            cur = a.terms
-            for gen in z.word:
-                cur = _step(cur, gen, H.system.right_mult)
-            _accumulate_scaled(total, cur, c)
-    else:
-        for y, c in a.terms.items():
-            cur = b.terms
-            for gen in reversed(y.word):
-                cur = _step(cur, gen, H.system.left_mult)
-            _accumulate_scaled(total, cur, c)
+    expanded, kept = (b, a) if right else (a, b)
+    mult = H.system.right_mult if right else H.system.left_mult
+    for x, c in expanded.terms.items():
+        cur = kept.terms
+        for gen in x.word if right else reversed(x.word):
+            cur = reference_step(cur, gen, mult)
+        for w, p in cur.items():
+            total[w] = total.get(w, ZERO) + p * c
     return HeckeElt(H, total)
 
 
@@ -306,3 +319,148 @@ def test_product_is_bilinear():
     assert H.product(a, b + c) == H.product(a, b) + H.product(a, c)
     assert H.product(a + b, c) == H.product(a, c) + H.product(b, c)
     assert H.product(Q * a, b) == Q * H.product(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the IntPoly reference
+
+
+def _general(H, elements, pairs):
+    # sum of c * T_x with c an IntPoly from a list of small ints
+    total = {}
+    for idx, coeffs in pairs:
+        w = elements[idx]
+        total[w] = total.get(w, ZERO) + IntPoly(coeffs)
+    return HeckeElt(H, total)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_kernel_matches_reference_on_every_basis_product(label):
+    H = algebra(label)
+    elements = H.system.elements
+    basis = [H.t_basis(w) for w in elements]
+    for a in basis:
+        for b in basis:
+            want = product_fixed_direction(H, a, b, right=True).terms
+            got = H.product(a, b)
+            # the single-entry decode first, on a fresh (still packed) result
+            assert [got.coefficient(w) for w in elements] == [
+                want.get(w, ZERO) for w in elements]
+            assert got.terms == want
+
+
+_COEFFS = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_kernel_matches_reference_on_general_f4_products(data):
+    H = algebra("F4")
+    elements = H.system.elements
+    picks = st.lists(st.tuples(st.integers(0, len(elements) - 1), _COEFFS),
+                     min_size=1, max_size=3)
+    a = _general(H, elements, data.draw(picks))
+    b = _general(H, elements, data.draw(picks))
+    want = product_fixed_direction(H, a, b, right=True)
+    assert want == product_fixed_direction(H, a, b, right=False)
+    assert H.product(a, b) == want
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_on_infinite_dihedral_products(data):
+    H = algebra("I2(inf)")
+    elements = H.system.elements_up_to(7)
+    picks = st.lists(st.tuples(st.integers(0, len(elements) - 1), _COEFFS),
+                     min_size=1, max_size=3)
+    a = _general(H, elements, data.draw(picks))
+    b = _general(H, elements, data.draw(picks))
+    want = product_fixed_direction(H, a, b, right=True)
+    assert want == product_fixed_direction(H, a, b, right=False)
+    assert H.product(a, b) == want
+    for gen in (1, 2):
+        assert H.mul_right_simple(a, gen).terms == _nonzero(
+            reference_step(a.terms, gen, H.system.right_mult))
+        assert H.mul_left_simple(a, gen).terms == _nonzero(
+            reference_step(a.terms, gen, H.system.left_mult))
+
+
+def _nonzero(terms):
+    return {w: p for w, p in terms.items() if p}
+
+
+@pytest.mark.parametrize("label", ["F4", "I2(inf)"])
+def test_kernel_is_exact_past_64_bits(label):
+    # coefficients near 10^60 and sign changes: a fixed-width digit would wrap
+    H = algebra(label)
+    x, y, z = (H.system.normal_form(word) for word in ([1, 2, 1], [2], [2, 1, 2, 1]))
+    big = 10**30
+    a = HeckeElt(H, {x: IntPoly((big, -1, 3)), y: IntPoly((-big,))})
+    b = HeckeElt(H, {z: IntPoly((7, -big)), x: IntPoly((0, 0, big))})
+    want = product_fixed_direction(H, a, b, right=True)
+    got = H.product(a, b)
+    assert got == want
+    assert max(abs(c) for p in got.terms.values() for c in p) > 2**128
+    for gen in (1, 2):
+        assert H.mul_right_simple(a, gen).terms == _nonzero(
+            reference_step(a.terms, gen, H.system.right_mult))
+
+
+def test_single_steps_match_reference_on_b3():
+    H = algebra("B3")
+    elements = H.system.elements
+    h = _general(H, elements, [(i, (i % 5 - 2, 1, -(i % 3))) for i in range(0, 48, 5)])
+    for gen in (1, 2, 3):
+        assert H.mul_right_simple(h, gen).terms == _nonzero(
+            reference_step(h.terms, gen, H.system.right_mult))
+        assert H.mul_left_simple(h, gen).terms == _nonzero(
+            reference_step(h.terms, gen, H.system.left_mult))
+
+
+def test_e_set_decodes_one_coefficient_per_product(monkeypatch):
+    # the scan reads one entry of each product, so it decodes one entry
+    H = algebra("F4")
+    w = H.system.normal_form((1, 2, 3))
+    counts = {"products": 0, "decodes": 0}
+    product, decode = HeckeAlgebra.product, hecke._decode
+
+    def counted_product(self, a, b):
+        counts["products"] += 1
+        return product(self, a, b)
+
+    def counted_decode(value, width):
+        counts["decodes"] += 1
+        return decode(value, width)
+
+    monkeypatch.setattr(HeckeAlgebra, "product", counted_product)
+    monkeypatch.setattr(hecke, "_decode", counted_decode)
+    report = e_set(H, w)
+    assert counts == {"products": 1152, "decodes": 1152}
+    assert report.members
+
+
+# ---------------------------------------------------------------------------
+# the diagonal row under e_set and regular_trace
+
+
+def test_diagonal_row_reads_one_product_per_candidate():
+    H = algebra("B2")
+    elements = H.system.elements
+    for w in elements:
+        row = list(H.diagonal_row(w))
+        assert [z for z, _ in row] == list(elements)
+        assert [n for _, n in row] == [H.structure_constant(w, z, z) for z in elements]
+        assert H.regular_trace(w) == sum((n for _, n in row), ZERO)
+        assert [(z, n) for z, n, _ in e_set(H, w).members] == [(z, n) for z, n in row if n]
+    with pytest.raises(ValueError, match="only applies to infinite"):
+        H.diagonal_row(H.system.identity, 3)
+
+
+def test_diagonal_row_infinite_needs_a_bound():
+    H = algebra("I2(inf)")
+    w = H.system.normal_form([1, 2, 1])
+    row = list(H.diagonal_row(w, 6))
+    assert [z for z, _ in row] == H.system.elements_up_to(6)
+    assert [n for _, n in row] == [H.structure_constant(w, z, z) for z, _ in row]
+    with pytest.raises(ValueError, match="max_len is required"):
+        H.diagonal_row(w)
