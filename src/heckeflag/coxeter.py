@@ -353,6 +353,7 @@ class CoxeterSystem:
         self._keys = keys
         self._rmult = rmult
         self._lengths = [len(w) for w in words]
+        self._last = [w[-1] if w else 0 for w in words]
         self._elements = tuple(
             Element(self, w, i) for i, w in enumerate(words)
         )

@@ -9,7 +9,9 @@ masquerade as a complete one: membership of each tested z is exact, absence
 beyond the bound is not certified.
 
 Membership is decided by computing the product T_w * T_z for every candidate
-z; no shortcut identities are used.
+z, each as (T_w T_z') T_s from the product of its prefix z' (one generator
+step per z, see ``HeckeAlgebra.diagonal_row``); no shortcut identities are
+used.  Infinite systems accept 0 <= max_len <= ``hecke.ROW_MAX_LEN``.
 """
 
 from __future__ import annotations

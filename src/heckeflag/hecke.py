@@ -19,14 +19,18 @@ has |c| < 2^(B-1).  B comes from a proven bound: a length-raising step moves
 a term, a length-lowering step turns p into q p and (q - 1) p, so a step at
 most triples the l1 norm (the sum of |c| over all terms), and every
 coefficient of a * b is at most |a|_1 |b|_1 3^L, L the longest word
-expanded.  For finite systems terms are keyed by the dense element index and
-a step is a lookup in the system's multiplication rows and length list; for
-the infinite dihedral group terms are keyed by Element and steps go through
-right_mult/left_mult.
+expanded.  A packed result carries that bound and one on its longest word,
+so a later product sizes it without reading its terms, and uses its packed
+dict as it is when the width covers the new bound.  For finite systems terms
+are keyed by the dense element index and a step is a lookup in the system's
+multiplication rows and length list; for the infinite dihedral group terms
+are keyed by Element and steps go through right_mult/left_mult.
 
 Results decode lazily: ``coefficient(w)`` decodes one entry, and ``terms``
-(Element -> IntPoly) is built the first time it is read, so a diagonal scan
-decodes one coefficient per product.
+(Element -> IntPoly) is built the first time it is read.  A diagonal row
+(under ``e_set`` and ``regular_trace``) builds T_w T_z as (T_w T_z') T_s,
+z' the prefix of z's canonical word, so it costs one product of one
+generator step and one decoded coefficient per z.
 
     >>> from heckeflag import build_system
     >>> H = HeckeAlgebra(build_system("A1"))
@@ -47,7 +51,13 @@ from __future__ import annotations
 from .coxeter import CoxeterSystem, Element
 from .poly import ONE, ZERO, IntPoly
 
-__all__ = ["HeckeAlgebra", "HeckeElt"]
+__all__ = ["HeckeAlgebra", "HeckeElt", "ROW_MAX_LEN"]
+
+# longest max_len a diagonal row of an infinite system accepts: for a w at
+# least max_len long the last products hold about 2 max_len terms of degree up
+# to max_len in digits about 1.6 max_len bits wide, so work grows like
+# max_len^3 (at 500 about 0.6 s and 45 MB on a 2-vCPU x86 host)
+ROW_MAX_LEN = 500
 
 
 class HeckeElt:
@@ -59,7 +69,7 @@ class HeckeElt:
     operators.
     """
 
-    __slots__ = ("algebra", "_terms", "_packed", "_width")
+    __slots__ = ("algebra", "_terms", "_packed", "_width", "_norm", "_longest")
 
     def __init__(self, algebra: "HeckeAlgebra", terms: dict[Element, IntPoly]):
         system = algebra.system
@@ -69,16 +79,21 @@ class HeckeElt:
         self.algebra = algebra
         self._terms = {w: p for w, p in terms.items() if p}
         self._packed = None
-        self._width = 0
+        self._width = self._norm = self._longest = 0
 
     @classmethod
-    def _from_packed(cls, algebra: "HeckeAlgebra", packed: dict, width: int) -> "HeckeElt":
-        # packed maps term keys to coefficients p(2^width); zeros may be stored
+    def _from_packed(cls, algebra: "HeckeAlgebra", packed: dict, width: int,
+                     norm: int, longest: int) -> "HeckeElt":
+        # packed maps term keys to coefficients p(2^width); zeros may be stored;
+        # norm bounds the l1 norm, so |c| <= norm < 2^(width - 1) for every c,
+        # and longest bounds the length of every key
         elt = cls.__new__(cls)
         elt.algebra = algebra
         elt._terms = None
         elt._packed = packed
         elt._width = width
+        elt._norm = norm
+        elt._longest = longest
         return elt
 
     @property
@@ -191,6 +206,20 @@ class HeckeAlgebra:
         base = 1 << width
         return {self._key(w): p(base) for w, p in h.terms.items()}
 
+    def _operand(self, h: HeckeElt, width: int) -> tuple[dict, int]:
+        """h's packed terms and their width, at least width: a packed h's own
+        dict as it is when its width covers width, else h packed at width."""
+        if h._packed is not None and h._width >= width:
+            return h._packed, h._width
+        return self._pack(h, width), width
+
+    def _last_letters(self):
+        """last[x]: the last letter of x's canonical word, 0 for the identity."""
+        system = self.system
+        if system.is_finite:
+            return system._last
+        return _Lookup(lambda x: x.word[-1] if x.word else 0)
+
     def _tables(self, right: bool):
         """(rows, lengths) for ``_generator_step``: rows[x][gen - 1] is
         x*s_gen when right, else s_gen*x, and lengths[x] is the length of x."""
@@ -214,10 +243,11 @@ class HeckeAlgebra:
     def _simple(self, h: HeckeElt, gen: int, right: bool) -> HeckeElt:
         self._check_same(h)
         self.system._check_generator(gen)
-        width = _width(3 * _measure(h)[2])
+        _, longest, norm = _measure(h)
+        packed, width = self._operand(h, _width(3 * norm))
         rows, lengths = self._tables(right)
-        packed = _generator_step(self._pack(h, width), gen - 1, rows, lengths, width)
-        return HeckeElt._from_packed(self, packed, width)
+        packed = _generator_step(packed, gen - 1, rows, lengths, width)
+        return HeckeElt._from_packed(self, packed, width, 3 * norm, longest + 1)
 
     # -- products --------------------------------------------------------------
 
@@ -230,6 +260,8 @@ class HeckeAlgebra:
         y's reduced word with left steps.  Both directions evaluate the same
         bilinear product; choosing the cheaper one keeps basis-times-general
         products linear in the word length instead of linear in the support.
+        The kept factor's packed dict is used as it is when its width covers
+        the product's bound.
         """
         self._check_same(a)
         self._check_same(b)
@@ -238,21 +270,23 @@ class HeckeAlgebra:
         right = cost_b <= cost_a
         kept, expanded = (a, b) if right else (b, a)
         terms = expanded.terms
-        width = _width(norm_a * norm_b * 3 ** (longest_b if right else longest_a))
+        norm = norm_a * norm_b * 3 ** (longest_b if right else longest_a)
+        # never narrower than a packed factor, so a chain of products keeps
+        # one width and packs nothing
+        start, width = self._operand(kept, max(_width(norm), expanded._width))
         rows, lengths = self._tables(right)
-        start = self._pack(kept, width)
         total: dict = {}
         for x, c in terms.items():
             cur = start
             for gen in x.word if right else reversed(x.word):
                 cur = _generator_step(cur, gen - 1, rows, lengths, width)
-            c = c(1 << width)
-            if len(terms) == 1 and c == 1:
+            if len(terms) == 1 and c == ONE:
                 total = cur
             else:
+                c = c(1 << width)
                 for k, v in cur.items():
                     total[k] = total.get(k, 0) + v * c
-        return HeckeElt._from_packed(self, total, width)
+        return HeckeElt._from_packed(self, total, width, norm, longest_a + longest_b)
 
     def structure_constant(self, w: Element, wp: Element, wpp: Element) -> IntPoly:
         """Coefficient of T_wpp in T_w * T_wp (zero polynomial if absent)."""
@@ -261,10 +295,17 @@ class HeckeAlgebra:
     def diagonal_row(self, w: Element, max_len: int | None = None):
         """Iterator of (z, N(w, z, z)) over every candidate z, in element order.
 
-        N(w, z, z) is the coefficient of T_z in T_w * T_z, one product per z.
-        Finite systems run over the whole group and take no max_len (a bound
-        would silently change the meaning); infinite systems need max_len and
-        run over the elements of length <= max_len.
+        N(w, z, z) is the coefficient of T_z in T_w * T_z.  Finite systems run
+        over the whole group and take no max_len (a bound would silently change
+        the meaning); infinite systems need 0 <= max_len <= ROW_MAX_LEN and run
+        over the elements of length <= max_len.
+
+        Every z != e is its parent z' (z's canonical word without its last
+        letter s) times s, one length up, so T_w T_z = (T_w T_z') T_s.  The
+        row walks this prefix tree depth first: one product and one generator
+        step per z, with one product per length alive at a time.  T_w starts
+        packed wide enough for the longest candidate, so every step reuses
+        its parent's packed dict.
         """
         system = self.system
         system._check_member(w)
@@ -272,18 +313,43 @@ class HeckeAlgebra:
             if max_len is not None:
                 raise ValueError("max_len only applies to infinite systems")
             candidates = system.elements
+            slot = range(len(candidates))
         else:
             if max_len is None:
                 raise ValueError("max_len is required for infinite systems")
+            if not 0 <= max_len <= ROW_MAX_LEN:
+                raise ValueError(
+                    f"max_len must lie in 0..{ROW_MAX_LEN}, got {max_len}")
             candidates = system.elements_up_to(max_len)
-        tw = self.t_basis(w)
-        return ((z, self.product(tw, self.t_basis(z)).coefficient(z)) for z in candidates)
+            slot = {z: i for i, z in enumerate(candidates)}
+        top = len(candidates[-1].word)
+        rows, lengths = self._tables(right=True)
+        last = self._last_letters()
+        steps = [self.t_basis(s) for s in system.generators]
+        key, element = self._key, self._element
+        tw = HeckeElt._from_packed(self, {key(w): 1}, _width(3**top), 1, len(w.word))
+        row = [None] * len(candidates)
+        # (x, T_w T_parent, T_s) with x = parent * s; an entry waits until its
+        # parent is visited, and all waiting entries hang off the current path,
+        # so one product per length is alive
+        pending = [(key(system.identity), tw, self.t_basis(system.identity))]
+        while pending:
+            x, parent, step = pending.pop()
+            h = self.product(parent, step)
+            row[slot[x]] = h.coefficient(element(x))
+            if lengths[x] < top:
+                for g, z in enumerate(rows[x]):
+                    # z = x s is x's child iff s is z's last letter; s is then
+                    # a descent of z, so l(z) = l(x) + 1 needs no check
+                    if last[z] == g + 1:
+                        pending.append((z, h, steps[g]))
+        return zip(candidates, row)
 
     def regular_trace(self, w: Element) -> IntPoly:
         """Trace of left multiplication by T_w on the T-basis.
 
         Sums the diagonal row of T_w over the whole group; finite systems
-        only.  Cost grows with |W|^2 * l(w0), fine at desk scale.
+        only.  Cost is |W| products of one generator step each.
         """
         if not self.system.is_finite:
             raise ValueError("regular trace needs a finite basis")
@@ -329,7 +395,11 @@ def _generator_step(terms: dict, g: int, rows, lengths, width: int) -> dict:
 
 def _measure(h: HeckeElt) -> tuple[int, int, int]:
     """(total word length, longest word, l1 norm) of h's terms; the l1 norm
-    is the sum of |c| over every coefficient of every term."""
+    is the sum of |c| over every coefficient of every term.  A packed h is
+    measured by the bounds it carries, without reading its terms: its longest
+    word and norm, and its number of keys times the longest word."""
+    if h._packed is not None:
+        return len(h._packed) * h._longest, h._longest, h._norm
     cost = longest = norm = 0
     for x, p in h.terms.items():
         n = len(x.word)
@@ -348,6 +418,8 @@ def _width(bound: int) -> int:
 
 def _decode(v: int, width: int) -> IntPoly:
     """The polynomial p with p(2^width) = v, reading balanced digits."""
+    if not v:
+        return ZERO  # most diagonal entries are zero
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     coeffs = []

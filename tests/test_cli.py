@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from heckeflag import cli, coxeter, verify
 from heckeflag.coxeter import MAX_FINITE_ORDER, CoxeterSystem
 from heckeflag.flag import FlagSpace
-from heckeflag.hecke import HeckeAlgebra, HeckeElt
+from heckeflag.hecke import ROW_MAX_LEN, HeckeAlgebra, HeckeElt
 from heckeflag.poly import ONE
 
 
@@ -89,6 +89,27 @@ def test_eset_infinite_missing_bound_is_error():
     result = cli.run(["eset", "--type", "I2(inf)", "--w", "1,2"])
     assert result.status == "error"
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("max_len", ["1000000000", "-3", str(ROW_MAX_LEN + 1)])
+def test_eset_infinite_refuses_a_bound_out_of_range(monkeypatch, max_len):
+    # the row's width grows like 3^max_len: refuse before listing any element
+    def no_listing(self, max_len):
+        raise AssertionError("the bound must be refused before elements_up_to")
+
+    monkeypatch.setattr(CoxeterSystem, "elements_up_to", no_listing)
+    result = cli.run(["eset", "--type", "I2(inf)", "--w", "1,2,1", "--max-len", max_len])
+    assert result.status == "error"
+    assert result.exit_code == 1
+    assert result.payload == ""
+    assert f"0..{ROW_MAX_LEN}" in result.diagnostics[0]
+
+
+def test_eset_infinite_accepts_the_largest_bound():
+    doc = run_json(["eset", "--type", "I2(inf)", "--w", "1,2,1",
+                    "--max-len", str(ROW_MAX_LEN), "--format", "json"])
+    assert doc["truncation"] == ROW_MAX_LEN
+    assert len(doc["members"]) == ROW_MAX_LEN - 1  # every alternating z from s1s2 on
 
 
 def test_eset_identity_full_group():
@@ -290,6 +311,17 @@ def test_verify_hecke_detects_trace_mismatch(monkeypatch):
     assert [name for name, c in checks.items() if not c["ok"]] == ["q=-1 trace mismatches"]
 
 
+# the checks each perturbation fails, with their observed payloads; the row
+# of w = e builds T_e T_s1s2 as (T_e T_s1) T_s2, so cancelling T_s1s2 also
+# drops N(e, s1s2, s1s2) and N(e, s1s2s1, s1s2s1) from regular_trace(e):
+# (w, matrix trace, regular trace, diagonal sum) at q = -1 reads ([], 6, 4, 6)
+_Q1_FAILURES = {
+    (): {"q=1 group-algebra violations": [[[1], [2], []]]},
+    (1, 2): {"q=1 group-algebra violations": [[[1], [2], [1, 2]]],
+             "q=-1 trace mismatches": [[[], 6, 4, 6]]},
+}
+
+
 @pytest.mark.parametrize("wpp, delta", [((), ONE), ((1, 2), -ONE)])
 def test_verify_hecke_detects_q1_violation(monkeypatch, wpp, delta):
     # perturb one off-diagonal coefficient of T_s1 * T_s2: add a stray T_e,
@@ -310,8 +342,8 @@ def test_verify_hecke_detects_q1_violation(monkeypatch, wpp, delta):
     assert result.exit_code == 2
     checks = {c["check"]: c for c in json.loads(result.payload)["checks"]}
     assert checks["q=1 group-algebra violations"]["observed"] == [[[1], [2], list(wpp)]]
-    assert [name for name, c in checks.items() if not c["ok"]] == [
-        "q=1 group-algebra violations"]
+    assert {name: c["observed"] for name, c in checks.items() if not c["ok"]} == (
+        _Q1_FAILURES[wpp])
 
 
 @pytest.mark.parametrize("label, order", [("F4", 1152), ("A5", 720)])

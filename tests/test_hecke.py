@@ -4,6 +4,7 @@ equivalence of the two product expansion directions, and the packed kernel
 against a plain IntPoly reference step."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -464,3 +465,159 @@ def test_diagonal_row_infinite_needs_a_bound():
     assert [n for _, n in row] == [H.structure_constant(w, z, z) for z, _ in row]
     with pytest.raises(ValueError, match="max_len is required"):
         H.diagonal_row(w)
+
+
+# ---------------------------------------------------------------------------
+# the prefix-tree walk behind diagonal_row
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "I2(5)"])
+def test_diagonal_row_matches_structure_constants(label):
+    H = algebra(label)
+    elements = H.system.elements
+    for w in elements:
+        assert list(H.diagonal_row(w)) == [
+            (z, H.structure_constant(w, z, z)) for z in elements]
+
+
+def test_infinite_diagonal_row_matches_structure_constants():
+    H = algebra("I2(inf)")
+    elements = H.system.elements_up_to(12)
+    for w in elements:
+        assert list(H.diagonal_row(w, 12)) == [
+            (z, H.structure_constant(w, z, z)) for z in elements]
+
+
+def test_f4_row_packs_nothing_and_decodes_no_product(monkeypatch):
+    # T_w is packed once, wide enough for the whole row; every step reuses its
+    # parent's packed dict and reads one coefficient of the result
+    H = algebra("F4")
+    decoded = []
+    terms = HeckeElt.terms
+
+    def watched_terms(self):
+        if self._terms is None:
+            decoded.append(self)
+        return terms.fget(self)
+
+    def no_pack(self, h, width):
+        raise AssertionError("a row step packed an operand")
+
+    monkeypatch.setattr(HeckeElt, "terms", property(watched_terms))
+    monkeypatch.setattr(HeckeAlgebra, "_pack", no_pack)
+    for w in (H.system.normal_form((1, 2, 3)), H.system.longest_element()):
+        row = list(H.diagonal_row(w))
+        assert len(row) == 1152
+        assert decoded == []
+
+
+def test_diagonal_row_memory_is_one_product_per_length():
+    # the F4 row of w0 holds products of up to 1152 terms: depth first it
+    # peaks near 0.6 MB, a walk that kept a whole length layer alive at 13 MB
+    H = algebra("F4")
+    w0 = H.system.longest_element()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        row = list(H.diagonal_row(w0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    z, n = row[-1]
+    assert z == w0 and n.degree == 24 and n[-1] == 1  # w0 carries top degree l(w0)
+    assert peak < 2_000_000, peak
+
+
+def _packed_wider(H, h, extra):
+    # h packed wider than any product needs, with its exact l1 norm
+    norm = sum(abs(c) for p in h.terms.values() for c in p)
+    width = hecke._width(norm) + extra
+    longest = max((len(x.word) for x in h.terms), default=0)
+    return HeckeElt._from_packed(H, H._pack(h, width), width, norm, longest)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_product_with_an_operand_packed_wider_than_needed(data):
+    label = data.draw(st.sampled_from(["B3", "I2(inf)"]))
+    H = algebra(label)
+    elements = (H.system.elements if label == "B3" else H.system.elements_up_to(7))
+    picks = st.lists(st.tuples(st.integers(0, len(elements) - 1), _COEFFS),
+                     min_size=1, max_size=3)
+    a = _general(H, elements, data.draw(picks))
+    b = _general(H, elements, data.draw(picks))
+    wide = _packed_wider(H, a, data.draw(st.integers(0, 80)))
+    want = product_fixed_direction(H, a, b, right=True)
+    assert H.product(wide, b) == want
+    assert H.product(b, wide) == product_fixed_direction(H, b, a, right=True)
+    assert H.product(wide, wide) == product_fixed_direction(H, a, a, right=True)
+    gen = data.draw(st.sampled_from([1, 2]))
+    assert H.mul_right_simple(wide, gen).terms == _nonzero(
+        reference_step(a.terms, gen, H.system.right_mult))
+    assert H.mul_left_simple(wide, gen).terms == _nonzero(
+        reference_step(a.terms, gen, H.system.left_mult))
+
+
+
+def _assert_bounds_hold(h):
+    # the norm, longest-word and cost bounds a packed result carries dominate
+    # its exact measures, so every width sized from them holds its digits
+    assert h._packed is not None
+    exact = hecke._measure(HeckeElt(h.algebra, h.terms))
+    carried = hecke._measure(h)
+    assert all(c >= e for c, e in zip(carried, exact)), (carried, exact)
+
+
+def _step_in_place(H, h, gen, move):
+    # one generator step by each of the four packed-reusing paths
+    s = H.t_basis(H.system.normal_form([gen]))
+    return (H.product(h, s), H.product(s, h),
+            H.mul_right_simple(h, gen), H.mul_left_simple(h, gen))[move]
+
+
+def test_powers_of_a_generator_stay_exact():
+    # T_s^k has coefficients growing like binomials, so a width that does not
+    # grow with the carried norm overflows within a few steps
+    H = algebra("B3")
+    system = H.system
+    for move in range(4):
+        mult = system.right_mult if move % 2 == 0 else system.left_mult
+        h = H.t_basis(system.normal_form([2]))
+        want = h.terms
+        for _ in range(30):
+            h = _step_in_place(H, h, 2, move)
+            want = _nonzero(reference_step(want, 2, mult))
+            _assert_bounds_hold(h)
+        assert h.terms == want
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_chains_of_packed_results_stay_exact(data):
+    # each step reuses the previous packed result, so every width comes from
+    # the bounds the results carry
+    label = data.draw(st.sampled_from(["B3", "I2(inf)"]))
+    H = algebra(label)
+    system = H.system
+    elements = system.elements if label == "B3" else system.elements_up_to(5)
+    picks = st.lists(st.tuples(st.integers(0, len(elements) - 1), _COEFFS),
+                     min_size=1, max_size=3)
+    h = _general(H, elements, data.draw(picks))
+    want = h.terms
+    moves = st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(0, 3)),
+                     min_size=1, max_size=16)
+    for gen, move in data.draw(moves):
+        h = _step_in_place(H, h, gen, move)
+        mult = system.right_mult if move % 2 == 0 else system.left_mult
+        want = _nonzero(reference_step(want, gen, mult))
+        _assert_bounds_hold(h)
+    assert h.terms == want
+    # two packed results, the cheaper one expanded on either side
+    index = st.integers(0, len(elements) - 1)
+    g = H.product(H.t_basis(elements[data.draw(index)]), H.t_basis(elements[data.draw(index)]))
+    exact_g, exact_h = HeckeElt(H, g.terms), HeckeElt(H, want)
+    for got, (a, b) in ((H.product(g, h), (exact_g, exact_h)),
+                        (H.product(h, g), (exact_h, exact_g))):
+        assert got == product_fixed_direction(H, a, b, right=True)
+        _assert_bounds_hold(got)
