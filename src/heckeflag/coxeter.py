@@ -178,47 +178,17 @@ class _DihedralModel:
         return (0, (k - gen0) % self.m)
 
 
-def _dihedral_word_to_tk(word: Iterable[int], m: int | None) -> tuple[int, int]:
-    kind, k = 0, 0
-    for g in word:
-        j = g - 1  # s1 = f_0, s2 = f_1
-        if kind == 0:
-            kind, k = 1, k + j
-        else:
-            kind, k = 0, k - j
-        if m is not None:
-            k %= m
-    return kind, k
-
-
 def _alt_word(first: int, length: int) -> tuple[int, ...]:
     other = 3 - first
     return tuple(first if i % 2 == 0 else other for i in range(length))
 
 
-def _dihedral_tk_to_word(kind: int, k: int, m: int | None) -> tuple[int, ...]:
-    if kind == 0:
-        if m is None:
-            if k == 0:
-                return ()
-            return _alt_word(1, -2 * k) if k < 0 else _alt_word(2, 2 * k)
-        k %= m
-        if k == 0:
-            return ()
-        a, b = (-k) % m, k
-        if a < b:
-            return _alt_word(1, 2 * a)
-        if b < a:
-            return _alt_word(2, 2 * b)
-        return _alt_word(1, m)  # longest element, m even
-    if m is None:
-        return _alt_word(1, 1 - 2 * k) if k <= 0 else _alt_word(2, 2 * k - 1)
-    a, b = (-k) % m, (k - 1) % m
-    if a < b:
-        return _alt_word(1, 2 * a + 1)
-    if b < a:
-        return _alt_word(2, 2 * b + 1)
-    return _alt_word(1, 2 * a + 1)  # tie only at the longest element, m odd
+def _alt_right_mult(first: int, length: int, gen: int) -> tuple[int, int]:
+    """(first letter, length) of x * s_gen in I2(inf), for x the alternating
+    word of that first letter and length (the identity for length 0)."""
+    if length and (first if length % 2 else 3 - first) == gen:
+        return first, length - 1
+    return (first if length else gen), length + 1
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +327,6 @@ class CoxeterSystem:
         self._elements = tuple(
             Element(self, w, i) for i, w in enumerate(words)
         )
-        self._word_index = {w: i for i, w in enumerate(words)}
         # inverse of x: fold the reversed canonical word from the identity
         inv = []
         for w in words:
@@ -444,8 +413,12 @@ class CoxeterSystem:
             for g in word:
                 i = self._rmult[i][g - 1]
             return self._elements[i]
-        kind, k = _dihedral_word_to_tk(word, None)
-        return self._element_from_word(_dihedral_tk_to_word(kind, k, None))
+        # fold right_mult's rule on (first letter, length), so no prefix is
+        # built: that would cost time and memory quadratic in the word length
+        first = length = 0
+        for g in word:
+            first, length = _alt_right_mult(first, length, g)
+        return self._alternating(first, length)
 
     def multiply(self, a: Element, b: Element) -> Element:
         self._check_member(a)
@@ -461,10 +434,8 @@ class CoxeterSystem:
         self._check_member(a)
         if self.is_finite:
             return self._elements[self._inv[a.index]]
-        kind, k = _dihedral_word_to_tk(a.word, None)
-        if kind == 0:
-            k = -k
-        return self._element_from_word(_dihedral_tk_to_word(kind, k, None))
+        # the reversed word alternates too, from a's last letter
+        return self._alternating(a.word[-1], len(a.word)) if a.word else a
 
     def right_mult(self, a: Element, gen: int) -> Element:
         """a * s_gen."""
@@ -472,9 +443,7 @@ class CoxeterSystem:
             return self._elements[self._rmult[a.index][gen - 1]]
         self._check_generator(gen)
         word = a.word
-        if word and word[-1] == gen:
-            return self._alternating(word[0], len(word) - 1)
-        return self._alternating(word[0] if word else gen, len(word) + 1)
+        return self._alternating(*_alt_right_mult(word[0] if word else 0, len(word), gen))
 
     def left_mult(self, a: Element, gen: int) -> Element:
         """s_gen * a."""

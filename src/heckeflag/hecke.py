@@ -27,10 +27,11 @@ multiplication rows and length list; for the infinite dihedral group terms
 are keyed by Element and steps go through right_mult/left_mult.
 
 Results decode lazily: ``coefficient(w)`` decodes one entry, and ``terms``
-(Element -> IntPoly) is built the first time it is read.  A diagonal row
-(under ``e_set`` and ``regular_trace``) builds T_w T_z as (T_w T_z') T_s,
-z' the prefix of z's canonical word, so it costs one product of one
-generator step and one decoded coefficient per z.
+(Element -> IntPoly) is built the first time it is read.  ``row_products``
+alone forms T_w T_z for all z, each as (T_w T_z') T_s with z' the prefix of
+z's canonical word: one generator step per z.  ``diagonal_row`` (under
+``e_set`` and ``regular_trace``) decodes one coefficient of each, and the
+verify suites read their checks from the same rows.
 
     >>> from heckeflag import build_system
     >>> H = HeckeAlgebra(build_system("A1"))
@@ -213,13 +214,6 @@ class HeckeAlgebra:
             return h._packed, h._width
         return self._pack(h, width), width
 
-    def _last_letters(self):
-        """last[x]: the last letter of x's canonical word, 0 for the identity."""
-        system = self.system
-        if system.is_finite:
-            return system._last
-        return _Lookup(lambda x: x.word[-1] if x.word else 0)
-
     def _tables(self, right: bool):
         """(rows, lengths) for ``_generator_step``: rows[x][gen - 1] is
         x*s_gen when right, else s_gen*x, and lengths[x] is the length of x."""
@@ -234,20 +228,11 @@ class HeckeAlgebra:
 
     def mul_right_simple(self, h: HeckeElt, gen: int) -> HeckeElt:
         """h * T_s for a single generator s."""
-        return self._simple(h, gen, right=True)
+        return self.product(h, self.t_basis(self.system.normal_form((gen,))))
 
     def mul_left_simple(self, h: HeckeElt, gen: int) -> HeckeElt:
         """T_s * h for a single generator s."""
-        return self._simple(h, gen, right=False)
-
-    def _simple(self, h: HeckeElt, gen: int, right: bool) -> HeckeElt:
-        self._check_same(h)
-        self.system._check_generator(gen)
-        _, longest, norm = _measure(h)
-        packed, width = self._operand(h, _width(3 * norm))
-        rows, lengths = self._tables(right)
-        packed = _generator_step(packed, gen - 1, rows, lengths, width)
-        return HeckeElt._from_packed(self, packed, width, 3 * norm, longest + 1)
+        return self.product(self.t_basis(self.system.normal_form((gen,))), h)
 
     # -- products --------------------------------------------------------------
 
@@ -292,43 +277,43 @@ class HeckeAlgebra:
         """Coefficient of T_wpp in T_w * T_wp (zero polynomial if absent)."""
         return self.product(self.t_basis(w), self.t_basis(wp)).coefficient(wpp)
 
-    def diagonal_row(self, w: Element, max_len: int | None = None):
-        """Iterator of (z, N(w, z, z)) over every candidate z, in element order.
+    def row_products(self, w: Element, max_len: int | None = None):
+        """Iterator of (z, T_w * T_z), once for every candidate z, in the
+        lexicographic order of canonical words (so each z after its parent).
 
-        N(w, z, z) is the coefficient of T_z in T_w * T_z.  Finite systems run
-        over the whole group and take no max_len (a bound would silently change
-        the meaning); infinite systems need 0 <= max_len <= ROW_MAX_LEN and run
-        over the elements of length <= max_len.
+        Finite systems run over the whole group and take no max_len (a bound
+        would silently change the meaning); infinite systems need
+        0 <= max_len <= ROW_MAX_LEN and run over the elements of length
+        <= max_len.
 
         Every z != e is its parent z' (z's canonical word without its last
         letter s) times s, one length up, so T_w T_z = (T_w T_z') T_s.  The
-        row walks this prefix tree depth first: one product and one generator
-        step per z, with one product per length alive at a time.  T_w starts
-        packed wide enough for the longest candidate, so every step reuses
-        its parent's packed dict.
+        walk visits this prefix tree depth first: one product and one
+        generator step per z, with one product per length alive at a time.
+        T_w starts packed wide enough for the longest candidate, so every step
+        reuses its parent's packed dict.
         """
         system = self.system
         system._check_member(w)
         if system.is_finite:
             if max_len is not None:
                 raise ValueError("max_len only applies to infinite systems")
-            candidates = system.elements
-            slot = range(len(candidates))
+            top = system.longest_element().length
         else:
             if max_len is None:
                 raise ValueError("max_len is required for infinite systems")
             if not 0 <= max_len <= ROW_MAX_LEN:
                 raise ValueError(
                     f"max_len must lie in 0..{ROW_MAX_LEN}, got {max_len}")
-            candidates = system.elements_up_to(max_len)
-            slot = {z: i for i, z in enumerate(candidates)}
-        top = len(candidates[-1].word)
+            top = max_len
         rows, lengths = self._tables(right=True)
-        last = self._last_letters()
+        # last[x]: the last letter of x's canonical word, 0 for the identity
+        last = (system._last if system.is_finite
+                else _Lookup(lambda x: x.word[-1] if x.word else 0))
         steps = [self.t_basis(s) for s in system.generators]
+        letters = range(system.rank - 1, -1, -1)
         key, element = self._key, self._element
         tw = HeckeElt._from_packed(self, {key(w): 1}, _width(3**top), 1, len(w.word))
-        row = [None] * len(candidates)
         # (x, T_w T_parent, T_s) with x = parent * s; an entry waits until its
         # parent is visited, and all waiting entries hang off the current path,
         # so one product per length is alive
@@ -336,14 +321,25 @@ class HeckeAlgebra:
         while pending:
             x, parent, step = pending.pop()
             h = self.product(parent, step)
-            row[slot[x]] = h.coefficient(element(x))
+            yield element(x), h
             if lengths[x] < top:
-                for g, z in enumerate(rows[x]):
+                # children go on the stack last letter first, so they come off
+                # in letter order and the walk is a preorder of the word tree
+                children = rows[x]
+                for g in letters:
+                    z = children[g]
                     # z = x s is x's child iff s is z's last letter; s is then
                     # a descent of z, so l(z) = l(x) + 1 needs no check
                     if last[z] == g + 1:
                         pending.append((z, h, steps[g]))
-        return zip(candidates, row)
+
+    def diagonal_row(self, w: Element, max_len: int | None = None):
+        """List of (z, N(w, z, z)) over the candidates of ``row_products``, in
+        element order; N(w, z, z), the coefficient of T_z in T_w * T_z, is
+        the one coefficient decoded per product."""
+        row = [(z, h.coefficient(z)) for z, h in self.row_products(w, max_len)]
+        row.sort(key=lambda zn: len(zn[0].word))  # stable: lexicographic to ShortLex
+        return row
 
     def regular_trace(self, w: Element) -> IntPoly:
         """Trace of left multiplication by T_w on the T-basis.

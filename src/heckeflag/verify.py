@@ -3,11 +3,13 @@
 Expected values are formulas, not golden files.  ``dihedral`` checks the
 closed-form diagonal-support sets of I2(4), I2(6), I2(8) and I2(inf);
 ``hecke`` reads w0 membership and top degree, the degree bound, positivity,
-q = 1 and the q = -1 trace from one product T_w * T_z per pair, in
-O(|W|^2 * l(w0)) generator steps, and refuses |W| > 400; ``flags`` checks
-the paper's identity on GL_n(F_q): fixed-pair counts equal N(w, z^-1, z^-1)(q),
-cell counts equal fixed-pair counts, whole-space counts equal the regular
-trace at q; ``all`` runs the three on fixed small inputs.
+q = 1 and the q = -1 trace from one row T_w * T_z over all z per w, and
+refuses |W| > 400; ``flags`` checks the paper's identity on GL_n(F_q):
+fixed-pair counts equal N(w, z^-1, z^-1)(q), cell counts equal fixed-pair
+counts, whole-space counts (the sums of the cell counts) equal the regular
+trace at q, with every Hecke value from one diagonal row per w.  Each suite
+makes |W|^2 products of one generator step; ``all`` runs the three on fixed
+small inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .coxeter import build_system
 from .eset import e_set
 from .flag import build_space, check_space
 from .hecke import HeckeAlgebra
+from .poly import ZERO
 
 __all__ = ["Check", "HECKE_SUITE_MAX_ORDER", "run_suite"]
 
@@ -159,15 +162,12 @@ def _hecke_suite(type_spec: str) -> list[Check]:
     w0 = system.longest_element()
     suite = f"hecke[{type_spec}]"
 
-    # one product T_w * T_z per pair feeds every check; each list keeps the
-    # (w, z, ...) order of the element enumeration
+    # one row T_w * T_z over all z per w feeds every check
     bad_membership, bad_top, bad_deg, bad_pos, bad_q1 = [], [], [], [], []
     traces = []
     for w in elements:
-        tw = algebra.t_basis(w)
-        diag_sum = 0
-        for z in elements:
-            prod = algebra.product(tw, algebra.t_basis(z))
+        trace, diag_sum = ZERO, 0
+        for z, prod in algebra.row_products(w):
             entry = prod.coefficient(z)
             diag_sum += entry(-1)
             if z == w0:
@@ -179,6 +179,7 @@ def _hecke_suite(type_spec: str) -> list[Check]:
                     bad_top.append(w.to_json())
             # diagonal degrees are bounded by l(w) and positive at small q
             if entry:
+                trace += entry
                 if entry.degree > w.length:
                     bad_deg.append((w.to_json(), z.to_json()))
                 for m in (2, 3, 4):
@@ -191,7 +192,11 @@ def _hecke_suite(type_spec: str) -> list[Check]:
                 wrong.append(wz)
             for x in sorted(wrong, key=lambda e: e.index):
                 bad_q1.append((w.to_json(), z.to_json(), x.to_json()))
-        traces.append((algebra.regular_trace(w)(-1), diag_sum))
+        traces.append((trace(-1), diag_sum))
+    # the row runs lexicographically; findings go in (w, z) element order,
+    # by length then lexicographic (a stable sort keeps each pair's order)
+    for bad in (bad_deg, bad_pos, bad_q1):
+        bad.sort(key=lambda f: (len(f[0]), f[0], len(f[1]), f[1]))
 
     # trace at q = -1 agrees with the specialized-algebra matrix trace
     bad_trace = [
@@ -219,6 +224,9 @@ def _flags_suite(n: int, q: int) -> list[Check]:
     base = space.standard_flag
     checks: list[Check] = []
     suite = f"flags[n={n},q={q}]"
+    # N(w, x, x)(q) for all x, one diagonal row per w; its sum is T_w's trace
+    rows = [[value(q) for _, value in algebra.diagonal_row(w)] for w in weyl.elements]
+    totals: dict = {}
     for z in weyl.elements:
         # pos(standard, coordinate_flag(z)) = z, so the pair spans cell(z)
         other = space.coordinate_flag(z)
@@ -228,14 +236,17 @@ def _flags_suite(n: int, q: int) -> list[Check]:
         cell = space.histogram_Y_cell(s, base, z)
         for w in weyl.elements:
             observed = pair.get(w, 0)
-            predicted = algebra.structure_constant(w, zi, zi)(q)
+            predicted = rows[w.index][zi.index]
             key = dict(n=n, q=q, w=w.word, z=z.word)
             label = f"z=[{_word_str(z.word)}] w=[{_word_str(w.word)}]"
             checks.append(_check(suite, f"count_Z {label}", observed, predicted, **key))
             checks.append(_check(suite, f"cell=Z {label}", cell.get(w, 0), observed, **key))
-    totals = space.histogram_Y_total(s)
+        # the cells partition the space, and with the standard base the cell
+        # scan conjugates by s itself, so the cells add up to the totals
+        for w, count in cell.items():
+            totals[w] = totals.get(w, 0) + count
     for w in weyl.elements:
         checks.append(_check(suite, f"count_Y_total w=[{_word_str(w.word)}]",
-                             totals.get(w, 0), algebra.regular_trace(w)(q),
+                             totals.get(w, 0), sum(rows[w.index]),
                              n=n, q=q, w=w.word, z="total"))
     return checks

@@ -16,7 +16,7 @@ from heckeflag import cli, coxeter, verify
 from heckeflag.coxeter import MAX_FINITE_ORDER, CoxeterSystem
 from heckeflag.flag import FlagSpace
 from heckeflag.hecke import ROW_MAX_LEN, HeckeAlgebra, HeckeElt
-from heckeflag.poly import ONE
+from heckeflag.poly import ONE, Q_MINUS_ONE
 
 
 def run_json(argv):
@@ -217,18 +217,37 @@ def test_verify_flags_scans_once_per_base_pair(monkeypatch):
     assert result.status == "ok"
     # per base pair (6): z in histogram_Z, then cell(z) scanned once for the
     # pair counts and once for the cell counts, so 6 + 2 * 186; the totals
-    # scan the 186 flags once more
-    assert calls[0] == 6 + 3 * 186 == 564
+    # add up the cell histograms and scan nothing
+    assert calls[0] == 6 + 2 * 186 == 378
+
+
+@pytest.mark.parametrize("argv, products", [
+    (["hecke", "--type", "A3"], 24**2),
+    (["flags", "--n", "3", "--q", "5"], 6**2),
+])
+def test_verify_makes_one_product_per_pair(monkeypatch, argv, products):
+    # every T_w T_z of a suite comes from one walk per w, one product each;
+    # no second scan rebuilds a trace or a structure constant
+    calls = [0]
+    original = HeckeAlgebra.product
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(HeckeAlgebra, "product", counted)
+    assert cli.run(["verify", *argv]).status == "ok"
+    assert calls[0] == products
 
 
 def test_verify_detects_mismatches(monkeypatch):
     # breaking the predictions must flip the status and the exit code
-    original = HeckeAlgebra.structure_constant
+    original = HeckeAlgebra.diagonal_row
 
-    def wrong(self, w, wp, wpp):
-        return original(self, w, wp, wpp) + 1
+    def wrong(self, w, max_len=None):
+        return [(z, n + 1) for z, n in original(self, w, max_len)]
 
-    monkeypatch.setattr(HeckeAlgebra, "structure_constant", wrong)
+    monkeypatch.setattr(HeckeAlgebra, "diagonal_row", wrong)
     result = cli.run(["verify", "flags", "--n", "2", "--q", "3"])
     assert result.status == "verification_failed"
     assert result.exit_code == 2
@@ -254,9 +273,9 @@ def test_verify_flags_several_spaces_csv():
 
 
 def test_verify_flags_several_spaces_detect_mismatches(monkeypatch):
-    original = HeckeAlgebra.structure_constant
-    monkeypatch.setattr(HeckeAlgebra, "structure_constant",
-                        lambda self, w, wp, wpp: original(self, w, wp, wpp) + 1)
+    original = HeckeAlgebra.diagonal_row
+    monkeypatch.setattr(HeckeAlgebra, "diagonal_row", lambda self, w, max_len=None: [
+        (z, n + 1) for z, n in original(self, w, max_len)])
     result = cli.run(["verify", "flags", *SPACES, "--format", "csv"])
     assert result.exit_code == 2
     assert result.diagnostics
@@ -296,29 +315,46 @@ def test_verify_hecke_ok(label):
 
 
 def test_verify_hecke_detects_trace_mismatch(monkeypatch):
-    original = HeckeAlgebra.regular_trace
-    monkeypatch.setattr(HeckeAlgebra, "regular_trace",
-                        lambda self, w: original(self, w) + 1)
+    # the walk hands out T_w T_e + (q - 1) T_e for w != e (its own parent stays
+    # exact): N(w, e, e) turns from 0 into q - 1, which passes the degree,
+    # positivity and q = 1 checks but moves the row's trace at q = -1 by -2
+    original = HeckeAlgebra.row_products
+
+    def shifted(self, w, max_len=None):
+        e = self.system.identity
+        for z, h in original(self, w, max_len):
+            yield z, (h + Q_MINUS_ONE * self.t_basis(e) if z == e != w else h)
+
+    monkeypatch.setattr(HeckeAlgebra, "row_products", shifted)
     result = cli.run(["verify", "hecke", "--type", "A2", "--format", "json"])
     assert result.status == "verification_failed"
     assert result.exit_code == 2
     checks = {c["check"]: c for c in json.loads(result.payload)["checks"]}
     bad = checks["q=-1 trace mismatches"]["observed"]
-    assert [row[0] for row in bad] == [[], [1], [2], [1, 2], [2, 1], [1, 2, 1]]
-    # the matrix trace and the diagonal sum still agree; only the public
-    # trace is off by one
-    assert all(row[2] == row[1] + 1 and row[3] == row[1] for row in bad)
+    # (w, matrix trace, row trace, diagonal sum): the independent matrix
+    # trace keeps its value, both sums over the row are off by -2
+    assert bad == [[[1], -6, -8, -8], [[2], -6, -8, -8], [[1, 2], 4, 2, 2],
+                   [[2, 1], 4, 2, 2], [[1, 2, 1], -2, -4, -4]]
     assert [name for name, c in checks.items() if not c["ok"]] == ["q=-1 trace mismatches"]
 
 
-# the checks each perturbation fails, with their observed payloads; the row
-# of w = e builds T_e T_s1s2 as (T_e T_s1) T_s2, so cancelling T_s1s2 also
-# drops N(e, s1s2, s1s2) and N(e, s1s2s1, s1s2s1) from regular_trace(e):
-# (w, matrix trace, regular trace, diagonal sum) at q = -1 reads ([], 6, 4, 6)
+# the checks each perturbation fails, with their observed payloads.  The walk
+# builds T_w T_z as (T_w T_z') T_s, so product(T_s1, T_s2) is T_s1 T_s2 for
+# w = s1 and (T_e T_s1) T_s2 for w = e, and each perturbed result is the
+# parent of one more z: (T_s1 T_s2) T_s1 gives T_w T_s2s1 for w = s1 and
+# T_e T_s1s2s1 for w = e.  A stray T_e there leaves a stray T_s1; a cancelled
+# T_s1s2 leaves 0, which also drops N(e, s1s2, s1s2) and N(e, w0, w0), so w0
+# membership and top degree fail for w = e and (w, matrix trace, row trace,
+# diagonal sum) at q = -1 reads ([], 6, 4, 4)
 _Q1_FAILURES = {
-    (): {"q=1 group-algebra violations": [[[1], [2], []]]},
-    (1, 2): {"q=1 group-algebra violations": [[[1], [2], [1, 2]]],
-             "q=-1 trace mismatches": [[[], 6, 4, 6]]},
+    (): {"q=1 group-algebra violations": [
+        [[], [1, 2], []], [[], [1, 2, 1], [1]], [[1], [2], []], [[1], [2, 1], [1]]]},
+    (1, 2): {"w0 membership fails for": [[]],
+             "top degree != l(w) for": [[]],
+             "q=1 group-algebra violations": [
+                 [[], [1, 2], [1, 2]], [[], [1, 2, 1], [1, 2, 1]],
+                 [[1], [2], [1, 2]], [[1], [2, 1], [1, 2, 1]]],
+             "q=-1 trace mismatches": [[[], 6, 4, 4]]},
 }
 
 
@@ -341,9 +377,31 @@ def test_verify_hecke_detects_q1_violation(monkeypatch, wpp, delta):
     result = cli.run(["verify", "hecke", "--type", "A2", "--format", "json"])
     assert result.exit_code == 2
     checks = {c["check"]: c for c in json.loads(result.payload)["checks"]}
-    assert checks["q=1 group-algebra violations"]["observed"] == [[[1], [2], list(wpp)]]
+    assert [[1], [2], list(wpp)] in checks["q=1 group-algebra violations"]["observed"]
     assert {name: c["observed"] for name, c in checks.items() if not c["ok"]} == (
         _Q1_FAILURES[wpp])
+
+
+def test_verify_hecke_findings_keep_element_order(monkeypatch):
+    # the walk runs lexicographically (s1s2 before s2); a stray T_e in every
+    # T_w T_z with z != e fails q = 1 for each such pair, and the findings
+    # list the pairs in (w, z) element order
+    original = HeckeAlgebra.row_products
+
+    def stray(self, w, max_len=None):
+        e = self.t_basis(self.system.identity)
+        for z, h in original(self, w, max_len):
+            yield z, (h + e if z.word else h)
+
+    monkeypatch.setattr(HeckeAlgebra, "row_products", stray)
+    result = cli.run(["verify", "hecke", "--type", "A2", "--format", "json"])
+    assert result.exit_code == 2
+    checks = {c["check"]: c for c in json.loads(result.payload)["checks"]}
+    elements = coxeter.build_system("A2").elements
+    assert checks["q=1 group-algebra violations"]["observed"] == [
+        [w.to_json(), z.to_json(), []] for w in elements for z in elements if z.word]
+    assert [name for name, c in checks.items() if not c["ok"]] == [
+        "q=1 group-algebra violations"]
 
 
 @pytest.mark.parametrize("label, order", [("F4", 1152), ("A5", 720)])

@@ -457,6 +457,19 @@ def test_infinite_dihedral_generator_steps():
                 system.left_mult(a, g)
 
 
+def test_infinite_normal_form_and_inverse_build_no_prefixes():
+    system = build_system("I2(inf)")
+    for a in system.elements_up_to(9):
+        assert system.inverse(a).word == a.word[::-1]
+    # building every prefix element would cost time and memory quadratic in
+    # the word length; only the result (and its inverse) joins the cache
+    before = len(system._cache)
+    x = system.normal_form((1, 2) * 2000 + (1, 1))
+    assert x.word == (1, 2) * 2000
+    assert system.inverse(x).word == (2, 1) * 2000
+    assert len(system._cache) == before + 2
+
+
 @given(st.lists(st.integers(1, 3), max_size=8), st.lists(st.integers(1, 3), max_size=8))
 def test_normal_form_is_multiplicative_a3(u, v):
     a3 = build_system("A3")

@@ -342,6 +342,19 @@ def test_count_y_total_partition_gl3():
     assert total == len(space.flags)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_cell_histograms_add_up_to_the_total(n):
+    # the cells partition the space and the standard flag leaves the torus
+    # as it is, so the verify flags suite builds its totals from the cells
+    space = build_space(n, 5)
+    s = space.default_torus()
+    totals = {}
+    for z in space.weyl.elements:
+        for w, count in space.histogram_Y_cell(s, space.standard_flag, z).items():
+            totals[w] = totals.get(w, 0) + count
+    assert totals == space.histogram_Y_total(s)
+
+
 # ---------------------------------------------------------------------------
 # the Hecke-side identities, small space (the full sweep is in acceptance)
 

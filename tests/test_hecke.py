@@ -455,6 +455,8 @@ def test_diagonal_row_reads_one_product_per_candidate():
         assert [(z, n) for z, n, _ in e_set(H, w).members] == [(z, n) for z, n in row if n]
     with pytest.raises(ValueError, match="only applies to infinite"):
         H.diagonal_row(H.system.identity, 3)
+    with pytest.raises(ValueError, match="only applies to infinite"):
+        next(H.row_products(H.system.identity, 3))
 
 
 def test_diagonal_row_infinite_needs_a_bound():
@@ -465,10 +467,25 @@ def test_diagonal_row_infinite_needs_a_bound():
     assert [n for _, n in row] == [H.structure_constant(w, z, z) for z, _ in row]
     with pytest.raises(ValueError, match="max_len is required"):
         H.diagonal_row(w)
+    with pytest.raises(ValueError, match="max_len is required"):
+        next(H.row_products(w))
 
 
 # ---------------------------------------------------------------------------
 # the prefix-tree walk behind diagonal_row
+
+
+def _assert_row_products(H, w, candidates, max_len=None):
+    # the walk yields every candidate once, each after its parent (its word
+    # without the last letter), lexicographically, with the from-scratch
+    # product T_w T_z
+    seen = []
+    for z, h in H.row_products(w, max_len):
+        assert z not in seen
+        assert not z.word or H.system.normal_form(z.word[:-1]) in seen
+        seen.append(z)
+        assert h == H.product(H.t_basis(w), H.t_basis(z))
+    assert [z.word for z in seen] == sorted(z.word for z in candidates)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2", "I2(5)"])
@@ -478,6 +495,7 @@ def test_diagonal_row_matches_structure_constants(label):
     for w in elements:
         assert list(H.diagonal_row(w)) == [
             (z, H.structure_constant(w, z, z)) for z in elements]
+        _assert_row_products(H, w, elements)
 
 
 def test_infinite_diagonal_row_matches_structure_constants():
@@ -486,6 +504,7 @@ def test_infinite_diagonal_row_matches_structure_constants():
     for w in elements:
         assert list(H.diagonal_row(w, 12)) == [
             (z, H.structure_constant(w, z, z)) for z in elements]
+        _assert_row_products(H, w, H.system.elements_up_to(8), 8)
 
 
 def test_f4_row_packs_nothing_and_decodes_no_product(monkeypatch):
