@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .coxeter import build_system
 from .eset import e_set
-from .hecke import HeckeAlgebra
+from .hecke import ROW_MAX_LEN, HeckeAlgebra
 from .poly import IntPoly
 from .verify import _word_str, run_suite
 
@@ -99,6 +99,12 @@ def cmd_nconst(type_spec: str, w_word: str, wp_word: str, fmt: str = "table") ->
         system = build_system(type_spec)
         w = system.normal_form(_parse_word(w_word))
         wp = system.normal_form(_parse_word(wp_word))
+        length = len(w.word) + len(wp.word)
+        if not system.is_finite and length > ROW_MAX_LEN:
+            # the product's time and memory grow steeply with the lengths
+            raise ValueError(
+                f"nconst on {type_spec} refused: l(w) + l(wp) = {length} exceeds "
+                f"{ROW_MAX_LEN}")
         algebra = HeckeAlgebra(system)
         prod = algebra.product(algebra.t_basis(w), algebra.t_basis(wp))
     except ValueError as exc:

@@ -2,10 +2,9 @@
 
 Two element models cover every group this package computes with:
 
-* crystallographic root actions for types A/B/C/D/G2/F4: an element is pinned
-  down by the integer images of the simple roots under its action (columns in
-  the simple-root basis), and its length equals the number of positive roots
-  it sends negative;
+* crystallographic root systems for types A/B/C/D/G2/F4: an element x is
+  pinned down by the weight x^-1 rho, and its length equals the number of
+  positive roots it sends negative;
 * closed-form dihedral arithmetic for I2(m), m in {2, 3, ...} or infinity: an
   element is a rotation or a reflection indexed by an integer, and its
   canonical word is an alternating string in the two generators.
@@ -14,6 +13,22 @@ Finite systems are enumerated eagerly by a breadth-first walk of the right
 Cayley graph.  The walk visits elements in (length, lexicographic) order of
 their canonical words, which are exactly the ShortLex-least reduced words, so
 every element carries a dense index usable as an array key.
+
+Root systems key the walk by v(x) = x^-1 rho in fundamental-weight
+coordinates, v_j = <x^-1 rho, alpha_j^vee>, with rho = (1, ..., 1).  rho is
+regular (its stabilizer in W is trivial), so v is injective on W.  Right
+multiplication by s is one vector update, v(x s) = s v(x) = v - v_s alpha_s,
+where alpha_s in weight coordinates is column s of the Cartan matrix
+C[i][j] = <alpha_j, alpha_i^vee>.  v is packed into one int of fixed-width
+digits: digit j holds v_j + 2^(B-1) in B bits, so a step reads digit s,
+multiplies and subtracts, and the int is the dict key.  The width holds every
+coordinate: v_j = <rho, x alpha_j^vee> and x alpha_j^vee is a coroot, on
+which rho takes plus or minus its height (rho is 1 on every simple coroot).
+A positive coroot of height h > 1 is a positive coroot of height h - 1 plus
+a simple coroot, so there are positive coroots of every height 1..h, and
+h <= |Phi^vee+| = |Phi+|.  B = bit_length(|Phi+|) + 1 gives
+|v_j| <= |Phi+| < 2^(B-1): every digit lies in 1 .. 2^B - 1 and no step
+borrows across digits (B6: |Phi+| = 36, B = 7).
 
 Generator numbering convention (1-based): A_n is a path with consecutive bond
 3; B_n/C_n add the bond 4 between the two highest indices; D_n forks at the
@@ -133,30 +148,35 @@ class ConjugacyClass:
 
 
 class _RootModel:
-    """Finite crystallographic backend: keys are the integer matrices of the
-    action on simple-root coordinates (tuple of columns)."""
+    """Finite crystallographic backend: x is keyed by v(x) = x^-1 rho in
+    fundamental-weight coordinates, packed into one int (module docstring).
+
+    ``apply(key, g)`` is right multiplication by s = s_{g+1}: v(x s) = v -
+    v_s alpha_s, with alpha_s (column s of the Cartan matrix) packed once.
+    """
 
     def __init__(self, cartan: Sequence[Sequence[int]]):
         self.cartan = tuple(tuple(row) for row in cartan)
-        self.rank = len(cartan)
+        self.rank = n = len(cartan)
+        self.positive_roots = _positive_roots(self.cartan)
+        # the length of w0 is |Phi+|, and |v_j| <= |Phi+| < 2^(width - 1):
+        # see the module docstring
+        self.longest = len(self.positive_roots)
+        self.width = width = self.longest.bit_length() + 1
+        self.bias = 1 << (width - 1)
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(width * g for g in range(n))
+        self.simple_roots = tuple(
+            sum(self.cartan[j][g] << (width * j) for j in range(n)) for g in range(n)
+        )
 
-    def identity(self):
-        n = self.rank
-        return tuple(tuple(1 if i == j else 0 for i in range(n)) for j in range(n))
+    def identity(self) -> int:
+        # rho = (1, ..., 1); digit j holds v_j + bias
+        return sum((1 + self.bias) << shift for shift in self.shifts)
 
-    def apply(self, key, gen0: int):
-        # right multiplication by s_i acts by column operations:
-        # col_j -> col_j - C[i][j] * col_i (j != i), col_i -> -col_i
-        row = self.cartan[gen0]
-        pivot = key[gen0]
-        cols = list(key)
-        for j in range(self.rank):
-            c = row[j]
-            if j == gen0:
-                cols[j] = tuple(-a for a in pivot)
-            elif c:
-                cols[j] = tuple(a - c * b for a, b in zip(key[j], pivot))
-        return tuple(cols)
+    def apply(self, key: int, gen0: int) -> int:
+        v_s = ((key >> self.shifts[gen0]) & self.mask) - self.bias
+        return key - v_s * self.simple_roots[gen0]
 
 
 class _DihedralModel:
@@ -166,6 +186,7 @@ class _DihedralModel:
     def __init__(self, m: int):
         self.m = m
         self.rank = 2
+        self.longest = m  # the length of w0
 
     def identity(self):
         return (0, 0)
@@ -253,6 +274,24 @@ def _cartan_and_order(family: str, n: int) -> tuple[list[list[int]], int]:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The positive roots in simple-root coordinates, sorted: the orbit of the
+    simple roots under the simple reflections, kept while nonnegative."""
+    n = len(cartan)
+    simple = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        r = frontier.pop()
+        for i in range(n):
+            pairing = sum(cartan[i][j] * r[j] for j in range(n))
+            img = tuple(r[j] - pairing if j == i else r[j] for j in range(n))
+            if all(c >= 0 for c in img) and img not in roots:
+                roots.add(img)
+                frontier.append(img)
+    return tuple(sorted(roots))
+
+
 def _coxeter_matrix_from_cartan(cartan: Sequence[Sequence[int]]) -> CoxeterMatrix:
     bond = {0: 2, 1: 3, 2: 4, 3: 6}
     n = len(cartan)
@@ -277,6 +316,13 @@ class CoxeterSystem:
     """A Coxeter group with exact arithmetic, canonical words, and (for finite
     backends) a dense breadth-first enumeration.
 
+    A finite system holds its elements in ShortLex order with tables indexed
+    by position: ``_rmult[x][g]`` and ``_lmult[x][g]`` (x s_{g+1} and
+    s_{g+1} x), ``_inv``, ``_lengths``, ``_last`` (the last letter of x's
+    canonical word, 0 for the identity) and ``_keys``, the model's key of
+    each element: the packed weight x^-1 rho (an int) for a root system, a
+    (kind, k) pair for I2(m).  Only the walk reads the keys.
+
     Immutable after construction; all queries are pure reads, so instances are
     safe to share across threads.
     """
@@ -298,46 +344,53 @@ class CoxeterSystem:
     # -- construction ------------------------------------------------------
 
     def _enumerate_all(self):
-        model = self._model
+        apply, longest = self._model.apply, self._model.longest
         rank = self.rank
-        keys = [model.identity()]
+        keys = [self._model.identity()]
         key_index = {keys[0]: 0}
         words: list[tuple[int, ...]] = [()]
         rmult: list[list[int]] = [[-1] * rank]
-        idx = 0
-        while idx < len(keys):
-            for g in range(rank):
-                if rmult[idx][g] >= 0:
+        gens = range(rank)
+        # keys grows while it is walked: a breadth-first queue
+        for idx, x in enumerate(keys):
+            row = rmult[idx]
+            word = words[idx]
+            for g in gens:
+                if row[g] >= 0:
                     continue
-                key = model.apply(keys[idx], g)
+                key = apply(x, g)
                 j = key_index.get(key)
                 if j is None:
-                    j = len(keys)
+                    j = key_index[key] = len(keys)
+                    if j == MAX_FINITE_ORDER or len(word) == longest:
+                        # a faulty model must not walk on without end, nor
+                        # along words longer than w0's
+                        raise AssertionError(
+                            f"{self.label}: the walk left the group (more than "
+                            f"{MAX_FINITE_ORDER} elements or a word longer than {longest})")
                     keys.append(key)
-                    key_index[key] = j
-                    words.append(words[idx] + (g + 1,))
+                    words.append(word + (g + 1,))
                     rmult.append([-1] * rank)
-                rmult[idx][g] = j
+                row[g] = j
                 rmult[j][g] = idx  # generators are involutions
-            idx += 1
         self._keys = keys
         self._rmult = rmult
         self._lengths = [len(w) for w in words]
-        self._last = [w[-1] if w else 0 for w in words]
+        self._last = last = [w[-1] if w else 0 for w in words]
         self._elements = tuple(
             Element(self, w, i) for i, w in enumerate(words)
         )
-        # inverse of x: fold the reversed canonical word from the identity
-        inv = []
-        for w in words:
-            j = 0
-            for g in reversed(w):
-                j = rmult[j][g - 1]
-            inv.append(j)
+        # x = p s with p = x s its parent, earlier in the walk, as is the
+        # inverse of p (same length): s_g x = (s_g p) s and x^-1 = s p^-1
+        lmult = [list(rmult[0])]  # s_g e = e s_g
+        inv = [0]
+        for x in range(1, len(words)):
+            s = last[x] - 1
+            p = rmult[x][s]  # x s
+            lmult.append([rmult[y][s] for y in lmult[p]])
+            inv.append(lmult[inv[p]][s])
         self._inv = inv
-        self._lmult = [
-            [inv[rmult[inv[i]][g]] for g in range(rank)] for i in range(len(words))
-        ]
+        self._lmult = lmult
 
     def _element_from_word(self, word: tuple[int, ...]) -> Element:
         # infinite backend only: canonical words key a flyweight cache
@@ -517,30 +570,31 @@ class CoxeterSystem:
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         if not isinstance(self._model, _RootModel):
             raise ValueError("positive roots only defined for root-system backends")
-        cartan = self._model.cartan
-        n = self.rank
-        simple = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-        roots = set(simple)
-        frontier = list(simple)
-        while frontier:
-            r = frontier.pop()
-            for i in range(n):
-                pairing = sum(cartan[i][j] * r[j] for j in range(n))
-                img = tuple(
-                    r[j] - pairing if j == i else r[j] for j in range(n)
-                )
-                if all(c >= 0 for c in img) and img not in roots:
-                    roots.add(img)
-                    frontier.append(img)
-        return tuple(sorted(roots))
+        return self._model.positive_roots
 
     def root_inversions(self, a: Element) -> int:
-        """Number of positive roots sent negative: an independent length."""
+        """Number of positive roots sent negative: an independent length.
+
+        Reads neither the enumeration's keys nor its tables: a's matrix on
+        simple-root coordinates (the images of the simple roots, as columns)
+        is folded from the identity along a's word.
+        """
         self._check_member(a)
-        cols = self._keys[a.index]
+        roots = self.positive_roots()
+        cartan = self._model.cartan
         n = self.rank
+        cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+        for g in a.word:
+            # right multiplication by s_i acts by column operations:
+            # col_j -> col_j - C[i][j] * col_i (j != i), col_i -> -col_i
+            i = g - 1
+            pivot = cols[i]
+            for j, c in enumerate(cartan[i]):
+                if j != i and c:
+                    cols[j] = [x - c * y for x, y in zip(cols[j], pivot)]
+            cols[i] = [-b for b in pivot]
         count = 0
-        for r in self.positive_roots():
+        for r in roots:
             img = [0] * n
             for j, c in enumerate(r):
                 if c:

@@ -26,8 +26,9 @@ are keyed by the dense element index and a step is a lookup in the system's
 multiplication rows and length list; for the infinite dihedral group terms
 are keyed by Element and steps go through right_mult/left_mult.
 
-Results decode lazily: ``coefficient(w)`` decodes one entry, and ``terms``
-(Element -> IntPoly) is built the first time it is read.  ``row_products``
+Results decode lazily: ``coefficient(w)`` decodes one entry, ``terms``
+(Element -> IntPoly) is built the first time it is read, and ``values_at``
+reads every term at q = 1 or q = -1 without decoding.  ``row_products``
 alone forms T_w T_z for all z, each as (T_w T_z') T_s with z' the prefix of
 z's canonical word: one generator step per z.  ``diagonal_row`` (under
 ``e_set`` and ``regular_trace``) decodes one coefficient of each, and the
@@ -54,7 +55,8 @@ from .poly import ONE, ZERO, IntPoly
 
 __all__ = ["HeckeAlgebra", "HeckeElt", "ROW_MAX_LEN"]
 
-# longest max_len a diagonal row of an infinite system accepts: for a w at
+# longest max_len a diagonal row of an infinite system accepts (and longest
+# l(w) + l(wp) the nconst command multiplies out there): for a w at
 # least max_len long the last products hold about 2 max_len terms of degree up
 # to max_len in digits about 1.6 max_len bits wide, so work grows like
 # max_len^3 (at 500 about 0.6 s and 45 MB on a 2-vCPU x86 host)
@@ -112,6 +114,27 @@ class HeckeElt:
         if w.system is not self.algebra.system:
             return ZERO
         return _decode(self._packed.get(self.algebra._key(w), 0), self._width)
+
+    def values_at(self, q: int) -> dict[Element, int]:
+        """Each term's coefficient evaluated at q = 1 or q = -1; a term whose
+        value is zero may be listed.
+
+        A packed coefficient v = p(2^B) is read without decoding: 2^B is 1
+        mod 2^B - 1 and -1 mod 2^B + 1, so p(q) is the balanced residue of v
+        mod 2^B - q, exact because |p(q)| <= the l1 bound < 2^(B-1).
+        """
+        if q not in (1, -1):
+            raise ValueError(f"values_at reads q = 1 or q = -1, got {q}")
+        if self._packed is None:
+            return {w: p(q) for w, p in self._terms.items()}
+        modulus = (1 << self._width) - q
+        half = modulus >> 1
+        element = self.algebra._element
+        out = {}
+        for k, v in self._packed.items():
+            r = v % modulus
+            out[element(k)] = r - modulus if r > half else r
+        return out
 
     def support(self) -> list[Element]:
         """Basis elements with nonzero coefficient, by length then word."""

@@ -186,9 +186,11 @@ def _hecke_suite(type_spec: str) -> list[Check]:
                     if entry(m) <= 0:
                         bad_pos.append((w.to_json(), z.to_json(), m))
             # specializing q = 1 degenerates to the group algebra: T_{wz} alone
+            # (a stored zero for wz reads 0, so it counts as missing)
             wz = system.multiply(w, z)
-            wrong = [x for x, p in prod.terms.items() if p(1) != (1 if x == wz else 0)]
-            if wz not in prod.terms:
+            ones = prod.values_at(1)
+            wrong = [x for x, v in ones.items() if v != (1 if x == wz else 0)]
+            if wz not in ones:
                 wrong.append(wz)
             for x in sorted(wrong, key=lambda e: e.index):
                 bad_q1.append((w.to_json(), z.to_json(), x.to_json()))

@@ -425,6 +425,43 @@ def test_exit_code_contract():
     assert cli.CommandResult("error").exit_code == 1
 
 
+def _alternating(first, length):
+    return ",".join(str(first if i % 2 == 0 else 3 - first) for i in range(length))
+
+
+@pytest.mark.parametrize("w_len, wp_len", [(251, 250), (ROW_MAX_LEN + 1, 0), (0, 1000)])
+def test_nconst_refuses_long_infinite_words(monkeypatch, w_len, wp_len):
+    # refused on the canonical lengths, before any product
+    def no_products(self, a, b):
+        raise AssertionError("the size guard must refuse before any product")
+
+    monkeypatch.setattr(HeckeAlgebra, "product", no_products)
+    result = cli.run(["nconst", "--type", "I2(inf)", "--w", _alternating(1, w_len),
+                      "--wp", _alternating(2, wp_len)])
+    assert result.exit_code == 1
+    assert f"l(w) + l(wp) = {w_len + wp_len} exceeds {ROW_MAX_LEN}" in result.diagnostics[0]
+
+
+def test_nconst_runs_the_longest_allowed_infinite_words():
+    # the costliest pair allowed, w times its inverse: T_w T_w^-1 holds
+    # q^l(w) T_e and one term of each odd length below 2 l(w)
+    half = ROW_MAX_LEN // 2
+    doc = run_json(["nconst", "--type", "I2(inf)", "--w", _alternating(1, half),
+                    "--wp", _alternating(2 - half % 2, half), "--format", "json"])
+    assert [len(r["wpp"]) for r in doc] == [0, *range(1, 2 * half, 2)]
+    assert doc[0]["wpp"] == [] and doc[0]["N"] == [0] * half + [1]
+
+
+def test_nconst_guard_reads_canonical_lengths():
+    # 1000 letters that cancel to the identity are no long word; finite
+    # systems are not limited
+    ok = ["nconst", "--type", "I2(inf)", "--w", ",".join("1" * 1000), "--wp", "2"]
+    assert run_json(ok + ["--format", "json"])[0]["wpp"] == [2]
+    long_finite = ["nconst", "--type", "A2", "--w", _alternating(1, 800),
+                   "--wp", _alternating(2, 800)]
+    assert run_json(long_finite + ["--format", "json"])[0]["wpp"] == []
+
+
 # ---------------------------------------------------------------------------
 # parser robustness: every input exits 0 or 1, never 2, and never raises
 

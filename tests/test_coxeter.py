@@ -323,6 +323,115 @@ def test_f4_enumeration():
     assert f4.longest_element().length == 24
 
 
+def _matrix_bfs(cartan):
+    """The breadth-first walk keyed by each element's integer matrix on
+    simple-root coordinates (its images of the simple roots, as columns),
+    with the inverse found by folding the reversed word: (words, rmult,
+    lmult, inv, lengths, last)."""
+    n = len(cartan)
+
+    def apply(key, i):
+        # right multiplication by s_i: col_j -> col_j - C[i][j] col_i (j != i),
+        # col_i -> -col_i
+        cols = list(key)
+        for j in range(n):
+            if j == i:
+                cols[j] = tuple(-a for a in key[i])
+            elif cartan[i][j]:
+                cols[j] = tuple(a - cartan[i][j] * b for a, b in zip(key[j], key[i]))
+        return tuple(cols)
+
+    keys = [tuple(tuple(int(i == j) for i in range(n)) for j in range(n))]
+    key_index = {keys[0]: 0}
+    words, rmult = [()], [[-1] * n]
+    idx = 0
+    while idx < len(keys):
+        for g in range(n):
+            if rmult[idx][g] < 0:
+                key = apply(keys[idx], g)
+                j = key_index.get(key)
+                if j is None:
+                    j = key_index[key] = len(keys)
+                    keys.append(key)
+                    words.append(words[idx] + (g + 1,))
+                    rmult.append([-1] * n)
+                rmult[idx][g], rmult[j][g] = j, idx
+        idx += 1
+    inv = []
+    for w in words:
+        j = 0
+        for g in reversed(w):
+            j = rmult[j][g - 1]
+        inv.append(j)
+    lmult = [[inv[rmult[inv[i]][g]] for g in range(n)] for i in range(len(words))]
+    return (words, rmult, lmult, inv, [len(w) for w in words],
+            [w[-1] if w else 0 for w in words])
+
+
+# every root type with at most 2000 elements
+_SMALL_ROOT_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3",
+                     "C4", "D2", "D3", "D4", "D5", "G2", "F4"]
+# every root type build_system accepts
+_ROOT_TYPES = ([f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(1, 7)]
+               + [f"C{n}" for n in range(1, 7)] + [f"D{n}" for n in range(2, 7)]
+               + ["G2", "F4"])
+
+
+@pytest.mark.parametrize("label", _SMALL_ROOT_TYPES)
+def test_weight_keyed_walk_matches_matrix_keyed_walk(label):
+    system = build_system(label)
+    got = ([x.word for x in system.elements], system._rmult, system._lmult,
+           system._inv, system._lengths, system._last)
+    assert got == _matrix_bfs(system._model.cartan)
+    assert [x.index for x in system.elements] == list(range(system.order))
+
+
+class _Tree:
+    # a rank-3 model whose walk never closes: each key has two new children
+    rank = 3
+
+    def __init__(self, longest):
+        self.longest = longest
+
+    def identity(self):
+        return 0
+
+    def apply(self, key, gen0):
+        return 3 * key + gen0 + 1
+
+
+@pytest.mark.parametrize("longest, found", [
+    (40, f"more than {MAX_FINITE_ORDER} elements"), (5, "longer than 5")])
+def test_a_faulty_model_stops_the_walk(longest, found):
+    matrix = coxeter.CoxeterMatrix(((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+    with pytest.raises(AssertionError, match=found):
+        CoxeterSystem("tree", matrix, _Tree(longest))
+
+
+@pytest.mark.parametrize("label", _ROOT_TYPES)
+def test_every_root_type_fits_the_key_width(label):
+    # v(x) = x^-1 rho, computed here unpacked from the parent's vector
+    # (v(x s) = v(x) - v_s alpha_s), lies strictly inside the digit range,
+    # and each key packs exactly v + bias; built past the cache, so the
+    # largest groups are freed after their test
+    system = build_system.__wrapped__(label)
+    model = system._model
+    cartan, width = model.cartan, model.width
+    bias = 1 << (width - 1)
+    vectors = {(): (1,) * system.rank}
+    largest = 0
+    for x, key in zip(system.elements, system._keys):
+        if x.word:
+            parent, s = vectors[x.word[:-1]], x.word[-1] - 1
+            vectors[x.word] = tuple(
+                c - parent[s] * cartan[j][s] for j, c in enumerate(parent))
+        v = vectors[x.word]
+        largest = max(largest, *map(abs, v))
+        assert type(key) is int
+        assert key == sum((c + bias) << (width * j) for j, c in enumerate(v))
+    assert largest < bias, (largest, width)
+
+
 # ---------------------------------------------------------------------------
 # Bruhat order
 
@@ -482,11 +591,20 @@ def test_normal_form_is_multiplicative_infinite(u, v):
     assert inf.normal_form(u + v) == inf.multiply(inf.normal_form(u), inf.normal_form(v))
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "F4"])
 def test_length_equals_root_inversions(label):
     system = build_system(label)
     for a in system.elements:
         assert system.root_inversions(a) == a.length
+
+
+def test_root_inversions_reads_no_enumeration_key():
+    # the length oracle folds its own matrix from the word; a fresh system
+    # (past the cache) stripped of its keys still answers
+    system = build_system.__wrapped__("B3")
+    del system._keys
+    assert [system.root_inversions(a) for a in system.elements] == [
+        a.length for a in system.elements]
 
 
 def test_positive_root_counts():

@@ -3,6 +3,7 @@ group-algebra degeneration at q = 1, degree and positivity facts, the
 equivalence of the two product expansion directions, and the packed kernel
 against a plain IntPoly reference step."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -588,6 +589,16 @@ def _assert_bounds_hold(h):
     assert all(c >= e for c, e in zip(carried, exact)), (carried, exact)
 
 
+def _assert_values_at_pm1(h, want):
+    # values_at reads every term of the packed h at q = +-1: each term of
+    # want is listed, and the nonzero values are want's
+    for q in (1, -1):
+        values = h.values_at(q)
+        assert set(want) <= set(values)
+        assert {x: v for x, v in values.items() if v} == {
+            x: p(q) for x, p in want.items() if p(q)}
+
+
 def _step_in_place(H, h, gen, move):
     # one generator step by each of the four packed-reusing paths
     s = H.t_basis(H.system.normal_form([gen]))
@@ -608,6 +619,7 @@ def test_powers_of_a_generator_stay_exact():
             h = _step_in_place(H, h, 2, move)
             want = _nonzero(reference_step(want, 2, mult))
             _assert_bounds_hold(h)
+            _assert_values_at_pm1(h, want)
         assert h.terms == want
 
 
@@ -631,6 +643,7 @@ def test_chains_of_packed_results_stay_exact(data):
         mult = system.right_mult if move % 2 == 0 else system.left_mult
         want = _nonzero(reference_step(want, gen, mult))
         _assert_bounds_hold(h)
+        _assert_values_at_pm1(h, want)
     assert h.terms == want
     # two packed results, the cheaper one expanded on either side
     index = st.integers(0, len(elements) - 1)
@@ -640,3 +653,33 @@ def test_chains_of_packed_results_stay_exact(data):
                         (H.product(h, g), (exact_h, exact_g))):
         assert got == product_fixed_direction(H, a, b, right=True)
         _assert_bounds_hold(got)
+
+
+def test_values_at_reads_the_residues_mod_two_to_the_width_minus_plus_one(monkeypatch):
+    # every p of degree <= 2 with l1 norm <= 7 = 2^(B-1) - 1, packed alone at
+    # B = 4: its balanced residues mod 15 and 17 are p(1) and p(-1), the
+    # extreme norms included, and nothing is decoded
+    def no_decode(v, width):
+        raise AssertionError("values_at decoded a coefficient")
+
+    monkeypatch.setattr(hecke, "_decode", no_decode)
+    H = algebra("A1")
+    x = H.system.identity
+    for coeffs in itertools.product(range(-7, 8), repeat=3):
+        if sum(map(abs, coeffs)) > 7:
+            continue
+        p = IntPoly(coeffs)
+        h = HeckeElt._from_packed(H, {H._key(x): p(16)}, 4, 7, 0)
+        assert h.values_at(1) == {x: p(1)}
+        assert h.values_at(-1) == {x: p(-1)}
+
+
+def test_values_at_falls_back_to_terms():
+    H = algebra("A2")
+    s1, s12 = H.system.normal_form([1]), H.system.normal_form([1, 2])
+    h = HeckeElt(H, {s1: Q_MINUS_ONE, s12: IntPoly((3, 0, 2))})
+    assert h.values_at(1) == {s1: 0, s12: 5}
+    assert h.values_at(-1) == {s1: -2, s12: 5}
+    for q in (0, 2, -2):
+        with pytest.raises(ValueError, match="q = 1 or q = -1"):
+            h.values_at(q)
