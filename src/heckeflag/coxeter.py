@@ -1,18 +1,24 @@
 """Coxeter systems with exact integer element arithmetic.
 
-Two element models cover every group this package computes with:
+Every system numbers its elements densely in ShortLex order of their
+canonical words (the ShortLex-least reduced words): index 0 is e, and an
+element's index is its position in ``elements``/``elements_up_to``.  The
+system holds its multiplication, inverse, length and last-letter tables by
+index, and one Element object per index, so elements compare by identity.
+
+Finite systems fill the tables eagerly, by a breadth-first walk of the right
+Cayley graph keyed by one of two models:
 
 * crystallographic root systems for types A/B/C/D/G2/F4: an element x is
   pinned down by the weight x^-1 rho, and its length equals the number of
   positive roots it sends negative;
-* closed-form dihedral arithmetic for I2(m), m in {2, 3, ...} or infinity: an
-  element is a rotation or a reflection indexed by an integer, and its
-  canonical word is an alternating string in the two generators.
+* closed-form dihedral arithmetic for I2(m), m >= 2: an element is a rotation
+  or a reflection indexed by an integer mod m.
 
-Finite systems are enumerated eagerly by a breadth-first walk of the right
-Cayley graph.  The walk visits elements in (length, lexicographic) order of
-their canonical words, which are exactly the ShortLex-least reduced words, so
-every element carries a dense index usable as an array key.
+The walk visits elements in (length, lexicographic) order of their canonical
+words, which is ShortLex order.  I2(inf) fills the same tables lazily from
+closed forms: its canonical words alternate, and the word of first letter f
+and length L >= 1 has index 2L - 2 + f.
 
 Root systems key the walk by v(x) = x^-1 rho in fundamental-weight
 coordinates, v_j = <x^-1 rho, alpha_j^vee>, with rho = (1, ..., 1).  rho is
@@ -84,18 +90,18 @@ class CoxeterMatrix:
 class Element:
     """A group element in canonical form: the ShortLex-least reduced word.
 
-    Equality requires the same parent system; hashing uses only the word, so
-    elements are cheap dictionary keys.  For finite systems ``index`` is the
-    position in the breadth-first enumeration.
+    ``index`` is the element's position in the ShortLex numbering of its
+    system.  The system holds one Element per index and every operation
+    returns that object, so equality and hashing are object identity: the
+    same system and the same word.
     """
 
-    __slots__ = ("system", "word", "index", "_hash")
+    __slots__ = ("system", "word", "index")
 
-    def __init__(self, system: "CoxeterSystem", word: tuple[int, ...], index: int | None):
+    def __init__(self, system: "CoxeterSystem", word: tuple[int, ...], index: int):
         self.system = system
         self.word = word
         self.index = index
-        self._hash = hash(word)
 
     @property
     def length(self) -> int:
@@ -106,16 +112,6 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         return self.system.multiply(self, other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.word == other.word
-            and self.system is other.system
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if not self.word:
@@ -199,17 +195,50 @@ class _DihedralModel:
         return (0, (k - gen0) % self.m)
 
 
+class _Memo(dict):
+    """i -> fn(i), computed on first use: a lazily filled I2(inf) table whose
+    hits are plain dict lookups."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, i):
+        # setdefault keeps the first value stored, so threads that race on one
+        # index all return the same object
+        return self.setdefault(i, self.fn(i))
+
+
 def _alt_word(first: int, length: int) -> tuple[int, ...]:
     other = 3 - first
     return tuple(first if i % 2 == 0 else other for i in range(length))
 
 
-def _alt_right_mult(first: int, length: int, gen: int) -> tuple[int, int]:
-    """(first letter, length) of x * s_gen in I2(inf), for x the alternating
-    word of that first letter and length (the identity for length 0)."""
-    if length and (first if length % 2 else 3 - first) == gen:
-        return first, length - 1
-    return (first if length else gen), length + 1
+def _alt_index(first: int, length: int) -> int:
+    """I2(inf) index of the alternating word of that first letter and length."""
+    return 2 * length - 2 + first if length else 0
+
+
+def _alt_ends(i: int) -> tuple[int, int, int]:
+    """(first letter, length, last letter) of the I2(inf) element of index i;
+    the identity has length 0 and last letter 0."""
+    first, length = 2 - i % 2, (i + 1) // 2
+    if not length:
+        return first, 0, 0
+    return first, length, first if length % 2 else 3 - first
+
+
+def _alt_right_row(i: int) -> tuple[int, int]:
+    """(x s1, x s2) by index for x of index i in I2(inf): s cancels x's last
+    letter, two indices down (to e from a generator), or extends the word,
+    two indices up."""
+    if not i:
+        return 1, 2
+    _, length, last = _alt_ends(i)
+    down, up = (i - 2 if length > 1 else 0), i + 2
+    return (down, up) if last == 1 else (up, down)
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +342,33 @@ def _dihedral_matrix(m: int | None) -> CoxeterMatrix:
 
 
 class CoxeterSystem:
-    """A Coxeter group with exact arithmetic, canonical words, and (for finite
-    backends) a dense breadth-first enumeration.
+    """A Coxeter group with exact arithmetic, canonical words and a dense
+    ShortLex index.
 
-    A finite system holds its elements in ShortLex order with tables indexed
-    by position: ``_rmult[x][g]`` and ``_lmult[x][g]`` (x s_{g+1} and
-    s_{g+1} x), ``_inv``, ``_lengths``, ``_last`` (the last letter of x's
-    canonical word, 0 for the identity) and ``_keys``, the model's key of
-    each element: the packed weight x^-1 rho (an int) for a root system, a
-    (kind, k) pair for I2(m).  Only the walk reads the keys.
+    Every system holds its elements in ShortLex order with tables indexed by
+    position: ``_elements``, ``_rmult[x][g]`` and ``_lmult[x][g]`` (x s_{g+1}
+    and s_{g+1} x), ``_inv``, ``_lengths`` and ``_last`` (the last letter of
+    x's canonical word, 0 for the identity).  A finite system also keeps
+    ``_keys``, the model's key of each element: the packed weight x^-1 rho
+    (an int) for a root system, a (kind, k) pair for I2(m).  Only the walk
+    reads the keys.
 
-    Immutable after construction; all queries are pure reads, so instances are
+    A finite system is immutable after construction.  I2(inf) fills its
+    tables on first use; an entry, once stored, never changes, and racing
+    threads store and read back one value, so instances of either kind are
     safe to share across threads.
     """
 
-    def __init__(self, label: str, matrix: CoxeterMatrix, model, dihedral_m=None):
+    def __init__(self, label: str, matrix: CoxeterMatrix, model):
         self.label = label
         self.matrix = matrix
         self.rank = matrix.rank
         self._model = model
-        self._dihedral_m = dihedral_m  # set (possibly None=infinity) for I2 only
         self.is_finite = model is not None
         if self.is_finite:
             self._enumerate_all()
         else:
-            self._cache: dict[tuple[int, ...], Element] = {}
-            self._alt_cache: dict[tuple[int, int], Element] = {}
-            self._identity = self._element_from_word(())
+            self._fill_on_demand()
 
     # -- construction ------------------------------------------------------
 
@@ -392,24 +421,16 @@ class CoxeterSystem:
         self._inv = inv
         self._lmult = lmult
 
-    def _element_from_word(self, word: tuple[int, ...]) -> Element:
-        # infinite backend only: canonical words key a flyweight cache
-        elt = self._cache.get(word)
-        if elt is None:
-            elt = Element(self, word, None)
-            self._cache[word] = elt
-        return elt
-
-    def _alternating(self, first: int, length: int) -> Element:
-        # infinite backend only: a canonical word alternates, so its first
-        # letter and length pin it down; generator steps look elements up by
-        # that pair and build no word tuple on a hit
-        key = (first, length)
-        elt = self._alt_cache.get(key)
-        if elt is None:
-            elt = self._element_from_word(_alt_word(first, length))
-            self._alt_cache[key] = elt
-        return elt
+    def _fill_on_demand(self):
+        # I2(inf): each entry from the closed forms of the index on first use
+        self._lengths = _Memo(lambda i: (i + 1) // 2)
+        self._last = _Memo(lambda i: _alt_ends(i)[2])
+        # the reversed word alternates from the last letter, with equal length
+        self._inv = inv = _Memo(lambda i: _alt_index(self._last[i], self._lengths[i]))
+        self._rmult = rmult = _Memo(_alt_right_row)
+        # s x = (x^-1 s)^-1
+        self._lmult = _Memo(lambda i: tuple(inv[j] for j in rmult[inv[i]]))
+        self._elements = _Memo(lambda i: Element(self, _alt_word(*_alt_ends(i)[:2]), i))
 
     def _check_generator(self, gen: int):
         if not 1 <= gen <= self.rank:
@@ -419,7 +440,7 @@ class CoxeterSystem:
 
     @property
     def identity(self) -> Element:
-        return self._elements[0] if self.is_finite else self._identity
+        return self._elements[0]
 
     @property
     def generators(self) -> tuple[Element, ...]:
@@ -441,14 +462,21 @@ class CoxeterSystem:
         return self._elements
 
     def elements_up_to(self, max_len: int) -> list[Element]:
-        """Elements of length <= max_len, same ordering as ``elements``."""
-        if self.is_finite:
-            return [x for x in self._elements if len(x.word) <= max_len]
-        out = [self.identity]
-        for length in range(1, max_len + 1):
-            out.append(self._alternating(1, length))
-            out.append(self._alternating(2, length))
-        return out
+        """Elements of length <= max_len, same ordering as ``elements``.
+
+        A breadth-first walk of the tree of canonical words from e, where z =
+        x s is x's child iff s is z's last letter: it visits words by length,
+        then lexicographically, which is index order.
+        """
+        rmult, last = self._rmult, self._last
+        found = [0] if max_len >= 0 else []
+        for x in found:  # found grows while it is walked
+            if self._lengths[x] == max_len:
+                break  # every later element is this long: no more children
+            for g, z in enumerate(rmult[x]):
+                if last[z] == g + 1:
+                    found.append(z)
+        return [self._elements[i] for i in found]
 
     def _check_member(self, a: Element):
         if a.system is not self:
@@ -461,52 +489,36 @@ class CoxeterSystem:
         word = tuple(word)
         for g in word:
             self._check_generator(g)
-        if self.is_finite:
-            i = 0
-            for g in word:
-                i = self._rmult[i][g - 1]
-            return self._elements[i]
-        # fold right_mult's rule on (first letter, length), so no prefix is
-        # built: that would cost time and memory quadratic in the word length
-        first = length = 0
+        return self._walk(0, word)
+
+    def _walk(self, i: int, word: tuple[int, ...]) -> Element:
+        # the element of index i times the word, one row lookup per letter: no
+        # prefix element is built
+        rmult = self._rmult
         for g in word:
-            first, length = _alt_right_mult(first, length, g)
-        return self._alternating(first, length)
+            i = rmult[i][g - 1]
+        return self._elements[i]
 
     def multiply(self, a: Element, b: Element) -> Element:
         self._check_member(a)
         self._check_member(b)
-        if self.is_finite:
-            i = a.index
-            for g in b.word:
-                i = self._rmult[i][g - 1]
-            return self._elements[i]
-        return self.normal_form(a.word + b.word)
+        return self._walk(a.index, b.word)
 
     def inverse(self, a: Element) -> Element:
         self._check_member(a)
-        if self.is_finite:
-            return self._elements[self._inv[a.index]]
-        # the reversed word alternates too, from a's last letter
-        return self._alternating(a.word[-1], len(a.word)) if a.word else a
+        return self._elements[self._inv[a.index]]
 
     def right_mult(self, a: Element, gen: int) -> Element:
         """a * s_gen."""
-        if self.is_finite:
-            return self._elements[self._rmult[a.index][gen - 1]]
+        self._check_member(a)
         self._check_generator(gen)
-        word = a.word
-        return self._alternating(*_alt_right_mult(word[0] if word else 0, len(word), gen))
+        return self._elements[self._rmult[a.index][gen - 1]]
 
     def left_mult(self, a: Element, gen: int) -> Element:
         """s_gen * a."""
-        if self.is_finite:
-            return self._elements[self._lmult[a.index][gen - 1]]
+        self._check_member(a)
         self._check_generator(gen)
-        word = a.word
-        if word and word[0] == gen:
-            return self._alternating(3 - gen, len(word) - 1)
-        return self._alternating(gen, len(word) + 1)
+        return self._elements[self._lmult[a.index][gen - 1]]
 
     def longest_element(self) -> Element:
         if not self.is_finite:
@@ -652,14 +664,12 @@ def build_system(spec: str) -> CoxeterSystem:
     if m:
         arg = m.group(1)
         if arg == "inf":
-            return CoxeterSystem("I2(inf)", _dihedral_matrix(None), None, dihedral_m=None)
+            return CoxeterSystem("I2(inf)", _dihedral_matrix(None), None)
         bound = int(arg)
         if bound < 2:
             raise ValueError(f"malformed type spec {spec!r}: need m >= 2")
         _check_order(spec, 2 * bound)
-        sys_ = CoxeterSystem(
-            spec, _dihedral_matrix(bound), _DihedralModel(bound), dihedral_m=bound
-        )
+        sys_ = CoxeterSystem(spec, _dihedral_matrix(bound), _DihedralModel(bound))
         if len(sys_._elements) != 2 * bound:
             raise AssertionError("dihedral enumeration does not match 2m")
         return sys_

@@ -21,10 +21,9 @@ most triples the l1 norm (the sum of |c| over all terms), and every
 coefficient of a * b is at most |a|_1 |b|_1 3^L, L the longest word
 expanded.  A packed result carries that bound and one on its longest word,
 so a later product sizes it without reading its terms, and uses its packed
-dict as it is when the width covers the new bound.  For finite systems terms
-are keyed by the dense element index and a step is a lookup in the system's
-multiplication rows and length list; for the infinite dihedral group terms
-are keyed by Element and steps go through right_mult/left_mult.
+dict as it is when the width covers the new bound.  Terms are keyed by the
+element's index, and a step is a lookup in the system's multiplication rows
+and length table, for finite systems and I2(inf) alike.
 
 Results decode lazily: ``coefficient(w)`` decodes one entry, ``terms``
 (Element -> IntPoly) is built the first time it is read, and ``values_at``
@@ -102,9 +101,9 @@ class HeckeElt:
     @property
     def terms(self) -> dict[Element, IntPoly]:
         if self._terms is None:
-            element, width = self.algebra._element, self._width
+            elements, width = self.algebra.system._elements, self._width
             self._terms = {
-                element(k): _decode(v, width) for k, v in self._packed.items() if v
+                elements[k]: _decode(v, width) for k, v in self._packed.items() if v
             }
         return self._terms
 
@@ -113,7 +112,7 @@ class HeckeElt:
             return self._terms.get(w, ZERO)
         if w.system is not self.algebra.system:
             return ZERO
-        return _decode(self._packed.get(self.algebra._key(w), 0), self._width)
+        return _decode(self._packed.get(w.index, 0), self._width)
 
     def values_at(self, q: int) -> dict[Element, int]:
         """Each term's coefficient evaluated at q = 1 or q = -1; a term whose
@@ -129,11 +128,11 @@ class HeckeElt:
             return {w: p(q) for w, p in self._terms.items()}
         modulus = (1 << self._width) - q
         half = modulus >> 1
-        element = self.algebra._element
+        elements = self.algebra.system._elements
         out = {}
         for k, v in self._packed.items():
             r = v % modulus
-            out[element(k)] = r - modulus if r > half else r
+            out[elements[k]] = r - modulus if r > half else r
         return out
 
     def support(self) -> list[Element]:
@@ -219,16 +218,9 @@ class HeckeAlgebra:
 
     # -- packed terms ------------------------------------------------------------
 
-    def _key(self, w: Element):
-        """The packed-term key of w: its index when finite, else w itself."""
-        return w.index if self.system.is_finite else w
-
-    def _element(self, key) -> Element:
-        return self.system._elements[key] if self.system.is_finite else key
-
     def _pack(self, h: HeckeElt, width: int) -> dict:
         base = 1 << width
-        return {self._key(w): p(base) for w, p in h.terms.items()}
+        return {w.index: p(base) for w, p in h.terms.items()}
 
     def _operand(self, h: HeckeElt, width: int) -> tuple[dict, int]:
         """h's packed terms and their width, at least width: a packed h's own
@@ -236,16 +228,6 @@ class HeckeAlgebra:
         if h._packed is not None and h._width >= width:
             return h._packed, h._width
         return self._pack(h, width), width
-
-    def _tables(self, right: bool):
-        """(rows, lengths) for ``_generator_step``: rows[x][gen - 1] is
-        x*s_gen when right, else s_gen*x, and lengths[x] is the length of x."""
-        system = self.system
-        if system.is_finite:
-            return (system._rmult if right else system._lmult), system._lengths
-        mult = system.right_mult if right else system.left_mult
-        return (_Lookup(lambda x: (mult(x, 1), mult(x, 2))),
-                _Lookup(lambda x: len(x.word)))
 
     # -- single-generator steps ----------------------------------------------
 
@@ -282,7 +264,8 @@ class HeckeAlgebra:
         # never narrower than a packed factor, so a chain of products keeps
         # one width and packs nothing
         start, width = self._operand(kept, max(_width(norm), expanded._width))
-        rows, lengths = self._tables(right)
+        system = self.system
+        rows, lengths = (system._rmult if right else system._lmult), system._lengths
         total: dict = {}
         for x, c in terms.items():
             cur = start
@@ -329,22 +312,20 @@ class HeckeAlgebra:
                 raise ValueError(
                     f"max_len must lie in 0..{ROW_MAX_LEN}, got {max_len}")
             top = max_len
-        rows, lengths = self._tables(right=True)
+        rows, lengths, elements = system._rmult, system._lengths, system._elements
         # last[x]: the last letter of x's canonical word, 0 for the identity
-        last = (system._last if system.is_finite
-                else _Lookup(lambda x: x.word[-1] if x.word else 0))
+        last = system._last
         steps = [self.t_basis(s) for s in system.generators]
         letters = range(system.rank - 1, -1, -1)
-        key, element = self._key, self._element
-        tw = HeckeElt._from_packed(self, {key(w): 1}, _width(3**top), 1, len(w.word))
+        tw = HeckeElt._from_packed(self, {w.index: 1}, _width(3**top), 1, len(w.word))
         # (x, T_w T_parent, T_s) with x = parent * s; an entry waits until its
         # parent is visited, and all waiting entries hang off the current path,
         # so one product per length is alive
-        pending = [(key(system.identity), tw, self.t_basis(system.identity))]
+        pending = [(system.identity.index, tw, self.t_basis(system.identity))]
         while pending:
             x, parent, step = pending.pop()
             h = self.product(parent, step)
-            yield element(x), h
+            yield elements[x], h
             if lengths[x] < top:
                 # children go on the stack last letter first, so they come off
                 # in letter order and the walk is a preorder of the word tree
@@ -373,21 +354,6 @@ class HeckeAlgebra:
         if not self.system.is_finite:
             raise ValueError("regular trace needs a finite basis")
         return sum((n for _, n in self.diagonal_row(w) if n), ZERO)
-
-
-class _Lookup(dict):
-    """x -> fn(x), computed on first use: a row or length table built on the
-    fly, for systems with no dense index."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, x):
-        value = self[x] = self.fn(x)
-        return value
 
 
 def _generator_step(terms: dict, g: int, rows, lengths, width: int) -> dict:

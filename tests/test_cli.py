@@ -468,7 +468,8 @@ def test_nconst_guard_reads_canonical_lengths():
 
 def _no_huge_enumeration(self):
     # a dihedral group past the size guard must be refused before this point
-    assert self._dihedral_m is None or 2 * self._dihedral_m <= MAX_FINITE_ORDER
+    model = self._model
+    assert not isinstance(model, coxeter._DihedralModel) or 2 * model.m <= MAX_FINITE_ORDER
     return _enumerate_all(self)
 
 

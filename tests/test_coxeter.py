@@ -554,29 +554,94 @@ def test_generator_changes_length_by_one(label):
 
 
 def test_infinite_dihedral_generator_steps():
-    system = build_system("I2(inf)")
-    for a in system.elements_up_to(30):
-        for g in (1, 2):
-            assert system.right_mult(a, g) is system.normal_form(a.word + (g,))
-            assert system.left_mult(a, g) is system.normal_form((g,) + a.word)
-        for g in (0, 3):
-            with pytest.raises(ValueError):
-                system.right_mult(a, g)
-            with pytest.raises(ValueError):
-                system.left_mult(a, g)
+    # the steps themselves are checked in test_one_element_object_per_index;
+    # bad generators and elements of another system (a fresh copy of the same
+    # type included) are refused on every kind of system
+    for label in ("I2(inf)", "A3", "B3", "I2(5)"):
+        system = build_system(label)
+        other = build_system("A3" if label == "B3" else "B3")
+        foreign = [other.normal_form([1, 2]), build_system.__wrapped__(label).identity]
+        for a in system.elements_up_to(3):
+            for g in (-1, 0, system.rank + 1):
+                with pytest.raises(ValueError, match="out of range"):
+                    system.right_mult(a, g)
+                with pytest.raises(ValueError, match="out of range"):
+                    system.left_mult(a, g)
+        for a in foreign:
+            for g in range(1, system.rank + 1):
+                with pytest.raises(ValueError, match="does not belong"):
+                    system.right_mult(a, g)
+                with pytest.raises(ValueError, match="does not belong"):
+                    system.left_mult(a, g)
 
 
 def test_infinite_normal_form_and_inverse_build_no_prefixes():
-    system = build_system("I2(inf)")
+    system = build_system.__wrapped__("I2(inf)")
     for a in system.elements_up_to(9):
         assert system.inverse(a).word == a.word[::-1]
     # building every prefix element would cost time and memory quadratic in
-    # the word length; only the result (and its inverse) joins the cache
-    before = len(system._cache)
+    # the word length: the walk reads one row per prefix, and only the result
+    # (and its inverse) joins the elements
+    before = len(system._elements)
     x = system.normal_form((1, 2) * 2000 + (1, 1))
     assert x.word == (1, 2) * 2000
     assert system.inverse(x).word == (2, 1) * 2000
-    assert len(system._cache) == before + 2
+    assert len(system._elements) == before + 2
+
+
+def test_elements_up_to_a_negative_length_is_empty():
+    for label in ("A2", "I2(inf)"):
+        system = build_system(label)
+        assert system.elements_up_to(-1) == []
+        assert system.elements_up_to(0) == [system.identity]
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "I2(5)", "I2(inf)"])
+def test_one_element_object_per_index(label):
+    system = build_system(label)
+    elements = system.elements_up_to(40)
+    if system.is_finite:
+        assert elements == list(system.elements)
+    for position, x in enumerate(elements):
+        assert x.index == position
+        assert system.normal_form(x.word) is x
+        assert system.inverse(x) is system.normal_form(x.word[::-1])
+        for g in range(1, system.rank + 1):
+            assert system.right_mult(x, g) is system.normal_form(x.word + (g,))
+            assert system.left_mult(x, g) is system.normal_form((g,) + x.word)
+    for x, y in itertools.product(elements, repeat=2):
+        assert system.multiply(x, y) is system.normal_form(x.word + y.word)
+
+
+def _free_reduction(word):
+    # I2(inf) has no relation but s^2 = 1: cancel equal neighbours
+    out = []
+    for g in word:
+        if out and out[-1] == g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def test_infinite_dihedral_tables_match_free_reduction():
+    # the ShortLex list of alternating words, built apart from the closed forms
+    words = [()] + sorted(
+        (tuple(first if k % 2 == 0 else 3 - first for k in range(length))
+         for length in range(1, 62) for first in (1, 2)),
+        key=lambda w: (len(w), w))
+    index = {w: i for i, w in enumerate(words)}
+    system = build_system("I2(inf)")
+    for i, word in enumerate(words):
+        if len(word) > 60:
+            break
+        assert system._elements[i].word == word
+        assert system._lengths[i] == len(word)
+        assert system._last[i] == (word[-1] if word else 0)
+        assert system._inv[i] == index[word[::-1]]
+        for g in (1, 2):
+            assert system._rmult[i][g - 1] == index[_free_reduction(word + (g,))]
+            assert system._lmult[i][g - 1] == index[_free_reduction((g,) + word)]
 
 
 @given(st.lists(st.integers(1, 3), max_size=8), st.lists(st.integers(1, 3), max_size=8))

@@ -4,14 +4,15 @@ equivalence of the two product expansion directions, and the packed kernel
 against a plain IntPoly reference step."""
 
 import itertools
+import json
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckeflag import hecke
-from heckeflag.coxeter import build_system
+from heckeflag import cli, hecke
+from heckeflag.coxeter import CoxeterSystem, build_system
 from heckeflag.eset import e_set
 from heckeflag.hecke import HeckeAlgebra, HeckeElt
 from heckeflag.poly import ONE, Q, Q_MINUS_ONE, ZERO, IntPoly
@@ -472,6 +473,25 @@ def test_diagonal_row_infinite_needs_a_bound():
         next(H.row_products(w))
 
 
+def test_infinite_products_read_the_tables_not_the_generator_steps(monkeypatch):
+    # terms are keyed by index and every step reads the system's tables, so
+    # the system's right_mult and left_mult are never called
+    def refused(self, a, gen):
+        raise AssertionError("a product called a generator step of the system")
+
+    monkeypatch.setattr(CoxeterSystem, "right_mult", refused)
+    monkeypatch.setattr(CoxeterSystem, "left_mult", refused)
+    H = algebra("I2(inf)")
+    rep = e_set(H, H.system.normal_form([1, 2, 1]), 40)
+    assert [z.word for z in rep.member_elements()] == [
+        tuple(1 if k % 2 == 0 else 2 for k in range(length)) for length in range(2, 41)]
+    result = cli.run(["nconst", "--type", "I2(inf)", "--w", "1,2,1", "--wp", "2,1,2,1",
+                      "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.payload) == [
+        {"w": [1, 2, 1], "wp": [2, 1, 2, 1], "wpp": [1, 2, 1, 2, 1, 2, 1], "N": [1]}]
+
+
 # ---------------------------------------------------------------------------
 # the prefix-tree walk behind diagonal_row
 
@@ -669,7 +689,7 @@ def test_values_at_reads_the_residues_mod_two_to_the_width_minus_plus_one(monkey
         if sum(map(abs, coeffs)) > 7:
             continue
         p = IntPoly(coeffs)
-        h = HeckeElt._from_packed(H, {H._key(x): p(16)}, 4, 7, 0)
+        h = HeckeElt._from_packed(H, {x.index: p(16)}, 4, 7, 0)
         assert h.values_at(1) == {x: p(1)}
         assert h.values_at(-1) == {x: p(-1)}
 
