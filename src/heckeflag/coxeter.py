@@ -2,9 +2,12 @@
 
 Every system numbers its elements densely in ShortLex order of their
 canonical words (the ShortLex-least reduced words): index 0 is e, and an
-element's index is its position in ``elements``/``elements_up_to``.  The
-system holds its multiplication, inverse, length and last-letter tables by
-index, and one Element object per index, so elements compare by identity.
+element's index is its position in ``elements``/``elements_up_to``.  Index
+order is length order: a longer element always has a larger index.  The
+system holds its multiplication tables as one column per generator,
+``_rmult[g][x]`` = x s_{g+1} and ``_lmult[g][x]`` = s_{g+1} x by index, its
+inverse, length and last-letter tables by index, and one Element object per
+index, so elements compare by identity.
 
 Finite systems fill the tables eagerly, by a breadth-first walk of the right
 Cayley graph keyed by one of two models:
@@ -230,15 +233,23 @@ def _alt_ends(i: int) -> tuple[int, int, int]:
     return first, length, first if length % 2 else 3 - first
 
 
-def _alt_right_row(i: int) -> tuple[int, int]:
-    """(x s1, x s2) by index for x of index i in I2(inf): s cancels x's last
+def _alt_right(i: int, g: int) -> int:
+    """Index of x s_{g+1} for x of index i in I2(inf): s cancels x's last
     letter, two indices down (to e from a generator), or extends the word,
     two indices up."""
     if not i:
-        return 1, 2
+        return g + 1
     _, length, last = _alt_ends(i)
-    down, up = (i - 2 if length > 1 else 0), i + 2
-    return (down, up) if last == 1 else (up, down)
+    if last == g + 1:
+        return i - 2 if length > 1 else 0
+    return i + 2
+
+
+# I2(inf) walks (normal_form, multiply) store the steps of the elements of
+# length at most this, which holds every element a product of up to
+# hecke.ROW_MAX_LEN letters reaches, and compute the steps of longer ones
+# without storing them, so a long word leaves no table entry per prefix
+_WALK_STORED_LEN = 500
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +356,20 @@ class CoxeterSystem:
     """A Coxeter group with exact arithmetic, canonical words and a dense
     ShortLex index.
 
-    Every system holds its elements in ShortLex order with tables indexed by
-    position: ``_elements``, ``_rmult[x][g]`` and ``_lmult[x][g]`` (x s_{g+1}
-    and s_{g+1} x), ``_inv``, ``_lengths`` and ``_last`` (the last letter of
-    x's canonical word, 0 for the identity).  A finite system also keeps
+    Every system holds its elements in ShortLex order, so index order is
+    length order, with tables indexed by position: ``_elements``, one column
+    per generator ``_rmult[g][x]`` and ``_lmult[g][x]`` (x s_{g+1} and
+    s_{g+1} x), ``_inv``, ``_lengths`` and ``_last`` (the last letter of x's
+    canonical word, 0 for the identity).  A finite system also keeps
     ``_keys``, the model's key of each element: the packed weight x^-1 rho
     (an int) for a root system, a (kind, k) pair for I2(m).  Only the walk
     reads the keys.
 
     A finite system is immutable after construction.  I2(inf) fills its
-    tables on first use; an entry, once stored, never changes, and racing
-    threads store and read back one value, so instances of either kind are
-    safe to share across threads.
+    tables on first use (a word walk stores the entries of elements of
+    length at most ``_WALK_STORED_LEN`` only); an entry, once stored, never
+    changes, and racing threads store and read back one value, so instances
+    of either kind are safe to share across threads.
     """
 
     def __init__(self, label: str, matrix: CoxeterMatrix, model):
@@ -374,18 +387,17 @@ class CoxeterSystem:
 
     def _enumerate_all(self):
         apply, longest = self._model.apply, self._model.longest
-        rank = self.rank
         keys = [self._model.identity()]
         key_index = {keys[0]: 0}
         words: list[tuple[int, ...]] = [()]
-        rmult: list[list[int]] = [[-1] * rank]
-        gens = range(rank)
+        # one column per generator, grown by doubling as elements are found
+        # and cut to the order at the end; -1 marks an entry not yet known
+        rmult: list[list[int]] = [[-1] for _ in range(self.rank)]
         # keys grows while it is walked: a breadth-first queue
         for idx, x in enumerate(keys):
-            row = rmult[idx]
             word = words[idx]
-            for g in gens:
-                if row[g] >= 0:
+            for g, col in enumerate(rmult):
+                if col[idx] >= 0:
                     continue
                 key = apply(x, g)
                 j = key_index.get(key)
@@ -399,9 +411,14 @@ class CoxeterSystem:
                             f"{MAX_FINITE_ORDER} elements or a word longer than {longest})")
                     keys.append(key)
                     words.append(word + (g + 1,))
-                    rmult.append([-1] * rank)
-                row[g] = j
-                rmult[j][g] = idx  # generators are involutions
+                    if j == len(col):
+                        for c in rmult:
+                            c.extend([-1] * j)
+                col[idx] = j
+                col[j] = idx  # generators are involutions
+        order = len(keys)
+        for col in rmult:
+            del col[order:]
         self._keys = keys
         self._rmult = rmult
         self._lengths = [len(w) for w in words]
@@ -411,15 +428,20 @@ class CoxeterSystem:
         )
         # x = p s with p = x s its parent, earlier in the walk, as is the
         # inverse of p (same length): s_g x = (s_g p) s and x^-1 = s p^-1
-        lmult = [list(rmult[0])]  # s_g e = e s_g
+        last_cols = [rmult[s - 1] for s in last[1:]]
+        parents = [col[x] for x, col in enumerate(last_cols, 1)]
+        lmult = []
+        for col in rmult:
+            lcol = [col[0]]  # s_g e = e s_g
+            for c, p in zip(last_cols, parents):
+                lcol.append(c[lcol[p]])
+            lmult.append(lcol)
         inv = [0]
-        for x in range(1, len(words)):
-            s = last[x] - 1
-            p = rmult[x][s]  # x s
-            lmult.append([rmult[y][s] for y in lmult[p]])
-            inv.append(lmult[inv[p]][s])
+        for s, p in zip(last[1:], parents):
+            inv.append(lmult[s - 1][inv[p]])
         self._inv = inv
         self._lmult = lmult
+        self._walk_stored = order
 
     def _fill_on_demand(self):
         # I2(inf): each entry from the closed forms of the index on first use
@@ -427,10 +449,11 @@ class CoxeterSystem:
         self._last = _Memo(lambda i: _alt_ends(i)[2])
         # the reversed word alternates from the last letter, with equal length
         self._inv = inv = _Memo(lambda i: _alt_index(self._last[i], self._lengths[i]))
-        self._rmult = rmult = _Memo(_alt_right_row)
+        self._rmult = rmult = [_Memo(lambda i, g=g: _alt_right(i, g)) for g in (0, 1)]
         # s x = (x^-1 s)^-1
-        self._lmult = _Memo(lambda i: tuple(inv[j] for j in rmult[inv[i]]))
+        self._lmult = [_Memo(lambda i, col=col: inv[col[inv[i]]]) for col in rmult]
         self._elements = _Memo(lambda i: Element(self, _alt_word(*_alt_ends(i)[:2]), i))
+        self._walk_stored = _alt_index(2, _WALK_STORED_LEN) + 1
 
     def _check_generator(self, gen: int):
         if not 1 <= gen <= self.rank:
@@ -468,13 +491,15 @@ class CoxeterSystem:
         x s is x's child iff s is z's last letter: it visits words by length,
         then lexicographically, which is index order.
         """
-        rmult, last = self._rmult, self._last
+        lengths, last = self._lengths, self._last
+        children = [(col, g + 1) for g, col in enumerate(self._rmult)]
         found = [0] if max_len >= 0 else []
         for x in found:  # found grows while it is walked
-            if self._lengths[x] == max_len:
+            if lengths[x] == max_len:
                 break  # every later element is this long: no more children
-            for g, z in enumerate(rmult[x]):
-                if last[z] == g + 1:
+            for col, letter in children:
+                z = col[x]
+                if last[z] == letter:
                     found.append(z)
         return [self._elements[i] for i in found]
 
@@ -492,11 +517,13 @@ class CoxeterSystem:
         return self._walk(0, word)
 
     def _walk(self, i: int, word: tuple[int, ...]) -> Element:
-        # the element of index i times the word, one row lookup per letter: no
-        # prefix element is built
-        rmult = self._rmult
+        # the element of index i times the word, one column lookup per letter:
+        # no prefix element is built; past _walk_stored (only I2(inf) gets
+        # there: a finite system stores every index) a step is computed from
+        # the closed form and not stored
+        rmult, stored = self._rmult, self._walk_stored
         for g in word:
-            i = rmult[i][g - 1]
+            i = rmult[g - 1][i] if i < stored else _alt_right(i, g - 1)
         return self._elements[i]
 
     def multiply(self, a: Element, b: Element) -> Element:
@@ -512,13 +539,13 @@ class CoxeterSystem:
         """a * s_gen."""
         self._check_member(a)
         self._check_generator(gen)
-        return self._elements[self._rmult[a.index][gen - 1]]
+        return self._elements[self._rmult[gen - 1][a.index]]
 
     def left_mult(self, a: Element, gen: int) -> Element:
         """s_gen * a."""
         self._check_member(a)
         self._check_generator(gen)
-        return self._elements[self._lmult[a.index][gen - 1]]
+        return self._elements[self._lmult[gen - 1][a.index]]
 
     def longest_element(self) -> Element:
         if not self.is_finite:

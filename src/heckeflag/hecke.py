@@ -21,9 +21,12 @@ most triples the l1 norm (the sum of |c| over all terms), and every
 coefficient of a * b is at most |a|_1 |b|_1 3^L, L the longest word
 expanded.  A packed result carries that bound and one on its longest word,
 so a later product sizes it without reading its terms, and uses its packed
-dict as it is when the width covers the new bound.  Terms are keyed by the
-element's index, and a step is a lookup in the system's multiplication rows
-and length table, for finite systems and I2(inf) alike.
+dict as it is when the width covers the new bound.  A basis element is born
+packed (1 at width 2), so every operand of a row walk carries its bounds.
+Terms are keyed by the element's index, and a step by s reads one entry of
+the system's multiplication column of s per term, for finite systems and
+I2(inf) alike.  It reads no length: index order is length order, so of x
+and xs the longer one is the one with the larger index.
 
 Results decode lazily: ``coefficient(w)`` decodes one entry, ``terms``
 (Element -> IntPoly) is built the first time it is read, and ``values_at``
@@ -50,7 +53,7 @@ build them build equal dicts, so concurrent use needs no coordination.
 from __future__ import annotations
 
 from .coxeter import CoxeterSystem, Element
-from .poly import ONE, ZERO, IntPoly
+from .poly import ZERO, IntPoly
 
 __all__ = ["HeckeAlgebra", "HeckeElt", "ROW_MAX_LEN"]
 
@@ -66,8 +69,8 @@ class HeckeElt:
     """A finite formal sum of T-basis terms with IntPoly coefficients.
 
     ``terms`` maps Element -> IntPoly with no stored zero coefficient; a
-    product's result holds packed coefficients and builds ``terms`` when it is
-    first read.  Instances are immutable by convention; use the arithmetic
+    basis element or a product's result holds packed coefficients and builds
+    ``terms`` when it is first read.  Instances are immutable by convention; use the arithmetic
     operators.
     """
 
@@ -206,9 +209,9 @@ class HeckeAlgebra:
             raise ValueError("operands belong to different Hecke algebras")
 
     def t_basis(self, w: Element) -> HeckeElt:
-        """The basis element 1*T_w."""
+        """The basis element 1*T_w, born packed: 1 at width 2, norm 1."""
         self.system._check_member(w)
-        return HeckeElt(self, {w: ONE})
+        return HeckeElt._from_packed(self, {w.index: 1}, 2, 1, len(w.word))
 
     def one(self) -> HeckeElt:
         return self.t_basis(self.system.identity)
@@ -222,10 +225,19 @@ class HeckeAlgebra:
         base = 1 << width
         return {w.index: p(base) for w, p in h.terms.items()}
 
+    def _packed_copy(self, h: HeckeElt) -> HeckeElt:
+        """Unpacked h packed at the width of its exact l1 norm, carrying its
+        exact bounds, and its terms so that a wider packing decodes nothing."""
+        _, longest, norm = _measure(h)
+        width = _width(norm)
+        copy = HeckeElt._from_packed(self, self._pack(h, width), width, norm, longest)
+        copy._terms = h.terms
+        return copy
+
     def _operand(self, h: HeckeElt, width: int) -> tuple[dict, int]:
-        """h's packed terms and their width, at least width: a packed h's own
-        dict as it is when its width covers width, else h packed at width."""
-        if h._packed is not None and h._width >= width:
+        """Packed h's terms and their width, at least width: h's own dict as
+        it is when its width covers width, else h packed at width."""
+        if h._width >= width:
             return h._packed, h._width
         return self._pack(h, width), width
 
@@ -244,40 +256,54 @@ class HeckeAlgebra:
     def product(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
         """The algebra product, expanding basis terms along reduced words.
 
-        The factor whose support carries less total word length is the one
+        The factor whose terms carry less total word length, as bounded by
+        its number of packed keys times its longest word, is the one
         expanded (the right factor on ties): expanding T_z on the right walks
         z's reduced word with right steps, expanding T_y on the left walks
         y's reduced word with left steps.  Both directions evaluate the same
         bilinear product; choosing the cheaper one keeps basis-times-general
         products linear in the word length instead of linear in the support.
         The kept factor's packed dict is used as it is when its width covers
-        the product's bound.
+        the product's bound, and a packed expanded factor is read without
+        decoding: a coefficient of 1 is 1 at every width, and any other is
+        re-evaluated only when its width is not the product's.
         """
-        self._check_same(a)
-        self._check_same(b)
-        cost_a, longest_a, norm_a = _measure(a)
-        cost_b, longest_b, norm_b = _measure(b)
-        right = cost_b <= cost_a
-        kept, expanded = (a, b) if right else (b, a)
-        terms = expanded.terms
-        norm = norm_a * norm_b * 3 ** (longest_b if right else longest_a)
-        # never narrower than a packed factor, so a chain of products keeps
-        # one width and packs nothing
+        if a.algebra is not self or b.algebra is not self:
+            self._check_same(a)
+            self._check_same(b)
+        if a._packed is None:
+            a = self._packed_copy(a)
+        if b._packed is None:
+            b = self._packed_copy(b)
+        # the cost of expanding a factor, as _measure reads it off the
+        # carried bounds
+        if len(b._packed) * b._longest <= len(a._packed) * a._longest:
+            kept, expanded, right = a, b, True
+        else:
+            kept, expanded, right = b, a, False
+        norm = a._norm * b._norm * 3 ** expanded._longest
+        # never narrower than the expanded factor, so a chain of products
+        # keeps one width and packs nothing
         start, width = self._operand(kept, max(_width(norm), expanded._width))
         system = self.system
-        rows, lengths = (system._rmult if right else system._lmult), system._lengths
+        cols, elements = (system._rmult if right else system._lmult), system._elements
+        coeffs, coeff_width = expanded._packed, expanded._width
         total: dict = {}
-        for x, c in terms.items():
+        for k, c in coeffs.items():
+            if not c:
+                continue
             cur = start
-            for gen in x.word if right else reversed(x.word):
-                cur = _generator_step(cur, gen - 1, rows, lengths, width)
-            if len(terms) == 1 and c == ONE:
+            word = elements[k].word
+            for gen in word if right else reversed(word):
+                cur = _generator_step(cur, cols[gen - 1], width)
+            if c != 1 and coeff_width != width:
+                c = _decode(c, coeff_width)(1 << width)
+            if c == 1 and len(coeffs) == 1:
                 total = cur
             else:
-                c = c(1 << width)
-                for k, v in cur.items():
-                    total[k] = total.get(k, 0) + v * c
-        return HeckeElt._from_packed(self, total, width, norm, longest_a + longest_b)
+                for key, v in cur.items():
+                    total[key] = total.get(key, 0) + v * c
+        return HeckeElt._from_packed(self, total, width, norm, a._longest + b._longest)
 
     def structure_constant(self, w: Element, wp: Element, wpp: Element) -> IntPoly:
         """Coefficient of T_wpp in T_w * T_wp (zero polynomial if absent)."""
@@ -312,11 +338,12 @@ class HeckeAlgebra:
                 raise ValueError(
                     f"max_len must lie in 0..{ROW_MAX_LEN}, got {max_len}")
             top = max_len
-        rows, lengths, elements = system._rmult, system._lengths, system._elements
-        # last[x]: the last letter of x's canonical word, 0 for the identity
-        last = system._last
-        steps = [self.t_basis(s) for s in system.generators]
-        letters = range(system.rank - 1, -1, -1)
+        lengths, last, elements = system._lengths, system._last, system._elements
+        # (column, letter, T_s) of every generator s, last letter first: the
+        # children of x go on the stack in that order, so they come off in
+        # letter order and the walk is a preorder of the word tree
+        children = [(col, g + 1, self.t_basis(s)) for g, (col, s) in
+                    enumerate(zip(system._rmult, system.generators))][::-1]
         tw = HeckeElt._from_packed(self, {w.index: 1}, _width(3**top), 1, len(w.word))
         # (x, T_w T_parent, T_s) with x = parent * s; an entry waits until its
         # parent is visited, and all waiting entries hang off the current path,
@@ -327,15 +354,12 @@ class HeckeAlgebra:
             h = self.product(parent, step)
             yield elements[x], h
             if lengths[x] < top:
-                # children go on the stack last letter first, so they come off
-                # in letter order and the walk is a preorder of the word tree
-                children = rows[x]
-                for g in letters:
-                    z = children[g]
+                for col, letter, step in children:
+                    z = col[x]
                     # z = x s is x's child iff s is z's last letter; s is then
                     # a descent of z, so l(z) = l(x) + 1 needs no check
-                    if last[z] == g + 1:
-                        pending.append((z, h, steps[g]))
+                    if last[z] == letter:
+                        pending.append((z, h, step))
 
     def diagonal_row(self, w: Element, max_len: int | None = None):
         """List of (z, N(w, z, z)) over the candidates of ``row_products``, in
@@ -348,27 +372,36 @@ class HeckeAlgebra:
     def regular_trace(self, w: Element) -> IntPoly:
         """Trace of left multiplication by T_w on the T-basis.
 
-        Sums the diagonal row of T_w over the whole group; finite systems
-        only.  Cost is |W| products of one generator step each.
+        Sums the diagonal entries N(w, z, z) of ``row_products`` over the
+        whole group; finite systems only.  Cost is |W| products of one
+        generator step each.
         """
         if not self.system.is_finite:
             raise ValueError("regular trace needs a finite basis")
-        return sum((n for _, n in self.diagonal_row(w) if n), ZERO)
+        total = ZERO
+        for z, h in self.row_products(w):
+            n = h.coefficient(z)
+            if n:
+                total += n
+        return total
 
 
-def _generator_step(terms: dict, g: int, rows, lengths, width: int) -> dict:
-    """Generator s = s_{g+1} applied to every packed term: terms * T_s when
-    rows are right multiplication rows, T_s * terms when they are left ones.
+def _generator_step(terms: dict, col, width: int) -> dict:
+    """Generator s applied to every packed term: terms * T_s when col is s's
+    right multiplication column (col[x] = x s), T_s * terms when it is s's
+    left one (col[x] = s x).
 
     The pairs {x, xs} with l(xs) = l(x) + 1 partition the group, and a pair
     maps to itself: p_x T_x + p_xs T_xs goes to q p_xs T_x + (p_x + (q - 1)
     p_xs) T_xs.  So each output key is written once, from the longer member
-    when it is present and from the shorter one otherwise.
+    when it is present and from the shorter one otherwise.  The index order
+    is ShortLex, so it never puts a longer element first, and xs is the
+    longer member exactly when xs > x: no length is read.
     """
     out = {}
     for x, p in terms.items():
-        xs = rows[x][g]
-        if lengths[xs] > lengths[x]:
+        xs = col[x]
+        if xs > x:
             if xs not in terms:
                 out[xs] = p
         else:

@@ -3,11 +3,12 @@ model of the symmetric and dihedral groups, an exhaustive all-reduced-words
 subword test for Bruhat order, and root-counting for lengths."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from heckeflag import coxeter
+from heckeflag import coxeter, hecke
 from heckeflag.coxeter import MAX_FINITE_ORDER, CoxeterSystem, build_system
 
 
@@ -364,8 +365,10 @@ def _matrix_bfs(cartan):
             j = rmult[j][g - 1]
         inv.append(j)
     lmult = [[inv[rmult[inv[i]][g]] for g in range(n)] for i in range(len(words))]
-    return (words, rmult, lmult, inv, [len(w) for w in words],
-            [w[-1] if w else 0 for w in words])
+    # the system keeps one column per generator: column g holds entry g of
+    # every row
+    return (words, [list(col) for col in zip(*rmult)], [list(col) for col in zip(*lmult)],
+            inv, [len(w) for w in words], [w[-1] if w else 0 for w in words])
 
 
 # every root type with at most 2000 elements
@@ -384,6 +387,23 @@ def test_weight_keyed_walk_matches_matrix_keyed_walk(label):
            system._inv, system._lengths, system._last)
     assert got == _matrix_bfs(system._model.cartan)
     assert [x.index for x in system.elements] == list(range(system.order))
+
+
+@pytest.mark.parametrize("label", _SMALL_ROOT_TYPES + ["I2(2)", "I2(5)", "I2(7)", "I2(inf)"])
+def test_index_order_is_length_order(label):
+    # the Hecke generator step tells an ascent by col[x] > x alone: that needs
+    # lengths that never decrease along the index, and then x s (or s x) is
+    # one longer than x exactly when its index is larger
+    system = build_system(label)
+    indices = range(system.order if system.is_finite else 400)
+    lengths = system._lengths
+    assert [lengths[i] for i in indices] == [len(system._elements[i].word) for i in indices]
+    assert all(lengths[i] <= lengths[i + 1] for i in indices[:-1])
+    for cols in (system._rmult, system._lmult):
+        assert len(cols) == system.rank
+        for col in cols:
+            for x in indices:
+                assert (col[x] > x) == (lengths[col[x]] == lengths[x] + 1)
 
 
 class _Tree:
@@ -589,6 +609,29 @@ def test_infinite_normal_form_and_inverse_build_no_prefixes():
     assert len(system._elements) == before + 2
 
 
+def test_a_long_infinite_word_leaves_no_table_entry_per_prefix():
+    # a walk stores the steps of the elements every Hecke row or nconst
+    # product can reach and computes the steps past them, so a long word
+    # leaves its result behind and no table entry per prefix
+    bound = coxeter._alt_index(2, coxeter._WALK_STORED_LEN) + 1
+    assert hecke.ROW_MAX_LEN <= coxeter._WALK_STORED_LEN
+    system = build_system.__wrapped__("I2(inf)")
+    assert system._walk_stored == bound
+    word = (1, 2) * 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x = system.normal_form(word)
+        back = system.multiply(x, system.inverse(x))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert x.word == word and x.index == coxeter._alt_index(1, len(word))
+    assert back is system.identity
+    assert retained < 1_000_000, retained
+    assert all(len(col) <= bound for col in system._rmult + system._lmult)
+
+
 def test_elements_up_to_a_negative_length_is_empty():
     for label in ("A2", "I2(inf)"):
         system = build_system(label)
@@ -640,8 +683,8 @@ def test_infinite_dihedral_tables_match_free_reduction():
         assert system._last[i] == (word[-1] if word else 0)
         assert system._inv[i] == index[word[::-1]]
         for g in (1, 2):
-            assert system._rmult[i][g - 1] == index[_free_reduction(word + (g,))]
-            assert system._lmult[i][g - 1] == index[_free_reduction((g,) + word)]
+            assert system._rmult[g - 1][i] == index[_free_reduction(word + (g,))]
+            assert system._lmult[g - 1][i] == index[_free_reduction((g,) + word)]
 
 
 @given(st.lists(st.integers(1, 3), max_size=8), st.lists(st.integers(1, 3), max_size=8))
