@@ -16,6 +16,19 @@ Only the pivot rows are needed, so the reduction never normalises a column,
 and inverse(F) * F' is solved against the pivots of F column by column, with
 no inverse stored per flag.
 
+A canonical column is a nonzero vector whose lowest nonzero entry is 1, one
+per point of the projective space: there are (q^n - 1)/(q - 1) of them (156
+on GL4(F5)), and every one is the first column of some flag.  The space
+interns them, so every flag's columns are shared tuples, and gives each a
+packed int with lane i holding entry i in B bits.  The solve for the
+coordinates x of a column c of F' reads x_k as lane p_k of C mod q, p_k the
+pivot row of column k of F, and adds (q - x_k) b_k, b_k the packed column k;
+this is c - x_k b_k mod q lane by lane, with every lane kept non-negative.
+Each lane starts at most q - 1 and each of the n steps adds at most
+(q - 1)^2 to it, so with B = bit_length((q - 1) + n (q - 1)^2) no lane
+reaches 2^B, no addition carries into the next lane, and every lane read is
+exact (B = 7 on GL4(F5), 37 on GL2(F_199999)).
+
 Relative position takes values in the symmetric group S_n, identified with
 the Coxeter system A_{n-1} by sending generator i to the transposition
 (i, i+1).  This pins an orientation (a position versus its inverse); the
@@ -24,21 +37,27 @@ before any larger run.
 
 The flags are enumerated Bruhat cell by Bruhat cell: cell(z), the flags F
 with pos(standard, F) = z, are the q^l(z) canonical matrices whose pivot rows
-spell z, and the space records the index range of each cell.  The counts scan
-one cell, not every flag, after moving their base flag to the standard flag
-by an exact group identity.  With g the matrix of base,
+spell z, and the space records the index range of each cell.  Column j of
+such a matrix is 1 at its pivot row, 0 below it and at the pivot rows of the
+columns before it, and free elsewhere, so its choices depend on no other
+column and the cell is the product of each column's interned choices.  The
+counts scan one cell, not every flag, after moving their base flag to the
+standard flag by an exact group identity.  With g the matrix of base,
 {F : pos(base, F) = z} = g.cell(z) and pos(base2, g.F) = pos(g^-1.base2, F).
 A torus-fixed base is P_v.standard for a permutation matrix P_v, and
 conjugating P_v.F by diag(s) is P_v times F conjugated by the permuted
-diagonal s'_j = s_{v(j)}.  Every count is a histogram of relative positions
-over one scan, exact and deterministic.
+diagonal s'_j = s_{v(j)}.  Conjugation maps columns one by one: scaling the
+rows of a canonical column by the units s keeps every zero, so its pivot row
+stays, and dividing by the pivot entry gives a vector whose lowest nonzero
+entry is 1, another interned column.  Every count is a histogram of relative
+positions over one scan, exact and deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .coxeter import CoxeterSystem, Element, build_system
 
@@ -46,13 +65,14 @@ __all__ = [
     "FLAG_SPACE_MAX_FLAGS", "Flag", "FlagSpace", "build_space", "canonical_cols", "check_space",
 ]
 
-Matrix = tuple[tuple[int, ...], ...]  # tuple of columns, each a tuple of rows
+Column = tuple[int, ...]  # one entry per row
+Matrix = tuple[Column, ...]  # tuple of columns
 
 # GL4(F7) has 182 400 flags; GL5(F7) has 510 902 400 and is refused
 FLAG_SPACE_MAX_FLAGS = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flag:
     """A complete flag, as the canonical column matrix described above."""
 
@@ -142,12 +162,87 @@ def _pivot(col: Sequence[int]) -> int:
     raise ValueError("matrix is singular over F_q")
 
 
+def _lane_width(n: int, q: int) -> int:
+    """Bits per lane of a packed column: a solve's lanes stay under 2^B."""
+    return ((q - 1) + n * (q - 1) ** 2).bit_length()
+
+
+def _pack(col: Column, width: int) -> int:
+    return sum(x << width * i for i, x in enumerate(col))
+
+
+def _solve(pivots: Sequence[int], basis: Sequence[int], cols: Iterable[int], q: int,
+           width: int) -> list[list[int]]:
+    """The coordinates mod q of each packed column of cols in the packed basis
+    whose column k is 1 at row pivots[k] and 0 at the pivot rows before it."""
+    mask = (1 << width) - 1
+    out = []
+    for c in cols:
+        x = []
+        for p, b in zip(pivots, basis):
+            xk = (c >> width * p & mask) % q
+            if xk:
+                c += (q - xk) * b
+            x.append(xk)
+        out.append(x)
+    return out
+
+
+def _position(pivots: Sequence[int], basis: Sequence[int], cols: Sequence[int], q: int,
+              width: int) -> tuple[int, ...]:
+    """The relative position of F and F' as a one-line permutation: one plus
+    the pivot row of each column of the column reduction of inverse(F) * F'.
+    F is given by its pivot rows and packed columns, F' by its packed columns."""
+    n = len(pivots)
+    done: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
+    perm = []
+    # the last pivot is the row the other columns leave, so the last column
+    # is neither solved for nor reduced
+    for col in _solve(pivots, basis, cols[:-1], q, width):
+        for p, prev in done:
+            f = col[p]
+            if f:
+                g = prev[p]
+                col = [(g * x - f * y) % q for x, y in zip(col, prev)]
+        p = n - 1
+        while not col[p]:
+            p -= 1
+        done.append((p, col))
+        perm.append(p + 1)
+    perm.append(n * (n + 1) // 2 - sum(perm))
+    return tuple(perm)
+
+
+class _ScaledColumns(dict):
+    """Canonical column c -> the interned canonical column of diag(s) c,
+    computed on first use, so a scan of a few flags of a huge space fills only
+    the columns it meets."""
+
+    __slots__ = ("s", "q", "inverse", "columns")
+
+    def __init__(self, s: tuple[int, ...], q: int, columns: dict[Column, Column]):
+        super().__init__()
+        self.s = s
+        self.q = q
+        self.inverse = [pow(x, q - 2, q) for x in s]
+        self.columns = columns
+
+    def __missing__(self, col: Column) -> Column:
+        q = self.q
+        scale = self.inverse[_pivot(col)]
+        scaled = tuple([x * si * scale % q for x, si in zip(col, self.s)])
+        return self.setdefault(col, self.columns[scaled])
+
+
 class FlagSpace:
     """All complete flags in F_q^n, with relative-position machinery.
 
     The Weyl group is the Coxeter system A_{n-1}; permutations are one-line
-    tuples p with p[j-1] = image of j.  Immutable after construction; counts
-    are pure scans.
+    tuples p with p[j-1] = image of j.  The flags, their interned columns and
+    the cells are fixed at construction, and counts are pure scans.  The one
+    state that changes is a memo no caller can see: the column map of the last
+    torus conjugate_flag was given, validated and rebuilt whenever the torus
+    changes, so every result is the one a fresh space gives.
     """
 
     def __init__(self, n: int, q: int):
@@ -165,6 +260,13 @@ class FlagSpace:
             self._perm_of[w] = tuple(perm)
             self._elt_of[tuple(perm)] = w
 
+        self._width = _lane_width(n, q)
+        # every canonical column, interned: maps a column to its one shared
+        # tuple, and _packed maps it to its packed int
+        self._columns: dict[Column, Column] = {}
+        self._packed: dict[Column, int] = {}
+        # the column map of the last torus conjugate_flag validated
+        self._scaled: _ScaledColumns | None = None
         self.flags: list[Flag] = []
         # cell(z) = {F : pos(standard, F) = z} is flags[self._cells[z]]
         self._cells: dict[Element, range] = {}
@@ -180,27 +282,35 @@ class FlagSpace:
             raise AssertionError("flag enumeration does not match the q-factorial")
         if len(self._pivots) != len(self.flags):
             raise AssertionError("flag enumeration has duplicates")
+        if len(self._columns) != (q**n - 1) // (q - 1):
+            raise AssertionError("flag columns miss a point of the projective space")
 
     def _enumerate_flags(self):
-        """Yield (z, pivot rows, the flags of cell(z)) in weyl.elements order."""
-        n, q = self.n, self.q
+        """Yield (z, pivot rows, the flags of cell(z)) in weyl.elements order.
+
+        Each column's choices are interned as they are built, and the cell is
+        their product in the order of the free entries, the last one fastest.
+        """
+        n, q, width = self.n, self.q, self._width
+        columns, packed = self._columns, self._packed
         for w in self.weyl.elements:
-            perm = self._perm_of[w]
-            pivots = tuple(p - 1 for p in perm)  # pivot row of each column, 0-based
-            free: list[list[int]] = []
-            for j in range(n):
-                taken = set(pivots[:j])
-                free.append([i for i in range(pivots[j]) if i not in taken])
-            slots = [(j, i) for j in range(n) for i in free[j]]
-            cell = []
-            for values in iter_product(range(q), repeat=len(slots)):
-                cols = [[0] * n for _ in range(n)]
-                for j in range(n):
-                    cols[j][pivots[j]] = 1
-                for (j, i), v in zip(slots, values):
-                    cols[j][i] = v
-                cell.append(Flag(tuple(tuple(c) for c in cols)))
-            yield w, pivots, cell
+            pivots = tuple(p - 1 for p in self._perm_of[w])  # pivot row of each column, 0-based
+            choices = []
+            for j, p in enumerate(pivots):
+                free = [i for i in range(p) if i not in pivots[:j]]
+                options = []
+                for values in iter_product(range(q), repeat=len(free)):
+                    col = [0] * n
+                    col[p] = 1
+                    for i, v in zip(free, values):
+                        col[i] = v
+                    col = tuple(col)
+                    if col not in columns:
+                        columns[col] = col
+                        packed[col] = _pack(col, width)
+                    options.append(columns[col])
+                choices.append(options)
+            yield w, pivots, [Flag(cols) for cols in iter_product(*choices)]
 
     # -- basic maps ----------------------------------------------------------
 
@@ -249,17 +359,16 @@ class FlagSpace:
     def conjugate_flag(self, s: Sequence[int], f: Flag) -> Flag:
         """The flag of s B s^{-1} for B the stabilizer of f: the flag s.f.
 
-        Scaling rows keeps every zero of a canonical matrix, so s.f is
-        canonical once each column is divided by its pivot entry, which is
-        s at the pivot row.
+        Scaling rows maps each canonical column to a multiple of another
+        canonical column, so s.f maps f column by column.
         """
-        self._check_torus(s)
-        q = self.q
-        cols = []
-        for p, col in zip(self._pivots_of(f), f.cols):
-            scale = pow(s[p], q - 2, q)
-            cols.append(tuple([x * si * scale % q for x, si in zip(col, s)]))
-        return Flag(tuple(cols))
+        key = tuple(s)
+        scaled = self._scaled
+        if scaled is None or scaled.s != key:
+            self._check_torus(key)
+            scaled = self._scaled = _ScaledColumns(key, self.q, self._columns)
+        self._pivots_of(f)
+        return Flag(tuple([scaled[c] for c in f.cols]))
 
     # -- relative position -----------------------------------------------------
 
@@ -269,43 +378,19 @@ class FlagSpace:
         except KeyError:
             raise ValueError("flag does not belong to this space") from None
 
-    def _coordinates(self, f: Flag, cols: Sequence[Sequence[int]]) -> list[list[int]]:
-        """The columns of inverse(f) * cols, reduced mod q.
-
-        Column k of f is 1 at its pivot row and 0 at the pivot rows of the
-        columns before it, so the k-th coordinate of c is its entry at that
-        pivot row once the earlier columns' parts are subtracted.
-        """
-        q = self.q
-        basis = list(zip(self._pivots_of(f), f.cols))
-        out = []
-        for c in cols:
-            x = []
-            for p, col in basis:
-                xk = c[p] % q
-                if xk:
-                    c = [a - xk * b for a, b in zip(c, col)]
-                x.append(xk)
-            out.append(x)
-        return out
+    def _coordinates(self, f: Flag, g: Flag) -> list[list[int]]:
+        """The columns of inverse(f) * g, reduced mod q."""
+        packed = self._packed
+        return _solve(self._pivots_of(f), [packed[c] for c in f.cols],
+                      [packed[c] for c in g.cols], self.q, self._width)
 
     def relative_position(self, f1: Flag, f2: Flag) -> Element:
         """The permutation w with incidence profile r_ij = [i = w(j)]."""
-        self._pivots_of(f2)  # membership: the reduction below trusts f2 to be invertible
-        q, n = self.q, self.n
-        done: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
-        # the last pivot is the row the other columns leave, so the last
-        # column is neither solved for nor reduced
-        for col in self._coordinates(f1, f2.cols[:-1]):
-            for p, prev in done:
-                f = col[p]
-                if f:
-                    g = prev[p]
-                    col = [(g * x - f * y) % q for x, y in zip(col, prev)]
-            done.append((_pivot(col), col))
-        perm = [p + 1 for p, _ in done]
-        perm.append(n * (n + 1) // 2 - sum(perm))
-        return self._elt_of[tuple(perm)]
+        pivots = self._pivots_of(f1)
+        self._pivots_of(f2)  # membership: the reduction trusts f2 to be invertible
+        packed = self._packed
+        return self._elt_of[_position(pivots, [packed[c] for c in f1.cols],
+                                      [packed[c] for c in f2.cols], self.q, self._width)]
 
     # -- counts ----------------------------------------------------------------
 
@@ -338,7 +423,7 @@ class FlagSpace:
         """{w: #{F : pos(base, F) = pos(base, base2) and pos(base2, F) = w}}."""
         z = self.relative_position(base, base2)
         # g^-1.base2 for g the matrix of base
-        translated = self.flag_of_matrix(self._coordinates(base, base2.cols))
+        translated = self.flag_of_matrix(self._coordinates(base, base2))
         return self._histogram((translated, f) for f in self._cell(z))
 
     def histogram_Y_total(self, s: Sequence[int]) -> dict[Element, int]:

@@ -228,6 +228,27 @@ def test_relative_position_matches_incidence_oracle_gl3_sampled():
         assert space.relative_position(f1, f2) == _pos_oracle(space, f1, f2)
 
 
+@pytest.mark.parametrize("n, q, width", [(2, 199_999, 37), (3, 53, 13)])
+def test_relative_position_at_the_lane_width_bound(n, q, width):
+    # the largest spaces of rank 1 and 2 under the flag bound; flags whose
+    # entries are all 0, 1 or q - 1 make the solve's lanes grow the most
+    space = build_space(n, q)
+    assert space._width == width == ((q - 1) + n * (q - 1) ** 2).bit_length()
+    extreme = [f for f in space.flags if all(x in (0, 1, q - 1) for c in f.cols for x in c)]
+    assert len(extreme) == sum(3**w.length for w in space.weyl.elements)
+    for f1 in extreme:
+        for f2 in extreme:
+            # inverse(f1) * f2 times f1 gives f2 back
+            coords = space._coordinates(f1, f2)
+            assert [[sum(x * b[i] for x, b in zip(c, f1.cols)) % q for i in range(n)]
+                    for c in coords] == [list(c) for c in f2.cols]
+    rng = random.Random(q)
+    for flags in (extreme, space.flags):
+        for _ in range(200):
+            f1, f2 = rng.choice(flags), rng.choice(flags)
+            assert space.relative_position(f1, f2) == _pos_oracle(space, f1, f2)
+
+
 def test_position_antisymmetry_exhaustive():
     for n, q in ((2, 3), (3, 5)):
         space = build_space(n, q)
@@ -390,6 +411,32 @@ def test_conjugate_flag_closed_form_every_flag():
     for s in (space.default_torus(), (2, 4, 1)):
         for f in space.flags:
             assert space.conjugate_flag(s, f) == _scaled(space, s, f)
+
+
+def test_conjugate_flag_keeps_one_torus_map():
+    # the space keeps the column map of the last torus: alternating tori,
+    # spelt as lists, tuples or unreduced residues, must each be validated
+    # and scaled afresh
+    space = build_space(3, 5)
+    columns = {id(c) for f in space.flags for c in f.cols}
+    foreign = Flag(((6, 1, 0), (1, 0, 0), (0, 0, 1)))  # a flag of F_7^3
+    for s in ([1, 2, 3], (2, 4, 1), (1, 2, 3), (6, 2, 3), [2, 4, 1], (6, 2, 3)):
+        for f in space.flags:
+            moved = space.conjugate_flag(s, f)
+            assert moved == _scaled(space, s, f)
+            assert {id(c) for c in moved.cols} <= columns
+        with pytest.raises(ValueError, match="regular semisimple"):
+            space.conjugate_flag((1, 6, 3), space.standard_flag)
+        with pytest.raises(ValueError, match="does not belong"):
+            space.conjugate_flag(s, foreign)
+
+
+@pytest.mark.parametrize("n, points", [(3, 31), (4, 156)])
+def test_flags_share_one_tuple_per_column(n, points):
+    # (q^n - 1)/(q - 1) column objects for the whole space, one per point of
+    # the projective space
+    space = build_space(n, 5)
+    assert len({id(c) for f in space.flags for c in f.cols}) == points == (5**n - 1) // 4
 
 
 def test_count_z_matches_full_scan_for_arbitrary_bases():
