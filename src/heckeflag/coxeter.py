@@ -9,19 +9,26 @@ system holds its multiplication tables as one column per generator,
 inverse, length and last-letter tables by index, and one Element object per
 index, so elements compare by identity.
 
-Finite systems fill the tables eagerly, by a breadth-first walk of the right
-Cayley graph keyed by one of two models:
+Two constructions fill these tables:
 
-* crystallographic root systems for types A/B/C/D/G2/F4: an element x is
-  pinned down by the weight x^-1 rho, and its length equals the number of
-  positive roots it sends negative;
-* closed-form dihedral arithmetic for I2(m), m >= 2: an element is a rotation
-  or a reflection indexed by an integer mod m.
+* crystallographic root systems (types A/B/C/D/G2/F4) by a breadth-first walk
+  of the right Cayley graph, eagerly: an element x is keyed by the weight
+  x^-1 rho, and its length equals the number of positive roots it sends
+  negative.  The walk visits elements in (length, lexicographic) order of
+  their canonical words, which is ShortLex order;
+* dihedral groups I2(m), m >= 2, and I2(inf) from closed forms of the index.
+  Canonical words alternate, and the word of first letter f and length L >= 1
+  has index 2L - 2 + f, for every L < m; w0, of length m, has index 2m - 1.
+  I2(m) fills lists of 2m entries eagerly, I2(inf) fills each entry on first
+  use.
 
-The walk visits elements in (length, lexicographic) order of their canonical
-words, which is ShortLex order.  I2(inf) fills the same tables lazily from
-closed forms: its canonical words alternate, and the word of first letter f
-and length L >= 1 has index 2L - 2 + f.
+    >>> i5 = build_system("I2(5)")
+    >>> i5.longest_element().index
+    9
+    >>> i5.normal_form([2, 1, 2, 1, 2]).word
+    (1, 2, 1, 2, 1)
+    >>> build_system("I2(inf)").normal_form([2, 1, 2, 1, 2]).index
+    10
 
 Root systems key the walk by v(x) = x^-1 rho in fundamental-weight
 coordinates, v_j = <x^-1 rho, alpha_j^vee>, with rho = (1, ..., 1).  rho is
@@ -46,6 +53,7 @@ high end (nodes n-2 and n bonded); G2 has bond 6; F4 is the path 3, 4, 3.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 from dataclasses import dataclass
@@ -58,6 +66,7 @@ __all__ = [
     "Element",
     "ConjugacyClass",
     "MAX_FINITE_ORDER",
+    "MAX_WORD_LETTERS",
     "build_system",
 ]
 
@@ -178,26 +187,6 @@ class _RootModel:
         return key - v_s * self.simple_roots[gen0]
 
 
-class _DihedralModel:
-    """Finite dihedral backend: keys are (kind, k) with kind 0 a rotation and
-    kind 1 a reflection, k taken mod m."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.rank = 2
-        self.longest = m  # the length of w0
-
-    def identity(self):
-        return (0, 0)
-
-    def apply(self, key, gen0: int):
-        # right multiply by the reflection f_gen0 (s1 = f_0, s2 = f_1)
-        kind, k = key
-        if kind == 0:
-            return (1, (k + gen0) % self.m)
-        return (0, (k - gen0) % self.m)
-
-
 class _Memo(dict):
     """i -> fn(i), computed on first use: a lazily filled I2(inf) table whose
     hits are plain dict lookups."""
@@ -214,35 +203,39 @@ class _Memo(dict):
         return self.setdefault(i, self.fn(i))
 
 
-def _alt_word(first: int, length: int) -> tuple[int, ...]:
-    other = 3 - first
-    return tuple(first if i % 2 == 0 else other for i in range(length))
+def _alt_word(i: int) -> tuple[int, ...]:
+    """Canonical word of the dihedral element of index i: the alternating
+    word of first letter 2 - i % 2 and length (i + 1) // 2."""
+    first, length = 2 - i % 2, (i + 1) // 2
+    pairs = (first, 3 - first) * (length // 2)
+    return pairs + (first,) if length % 2 else pairs
 
 
 def _alt_index(first: int, length: int) -> int:
-    """I2(inf) index of the alternating word of that first letter and length."""
+    """Index of the alternating word of that first letter and length."""
     return 2 * length - 2 + first if length else 0
 
 
-def _alt_ends(i: int) -> tuple[int, int, int]:
-    """(first letter, length, last letter) of the I2(inf) element of index i;
-    the identity has length 0 and last letter 0."""
-    first, length = 2 - i % 2, (i + 1) // 2
-    if not length:
-        return first, 0, 0
-    return first, length, first if length % 2 else 3 - first
+def _alt_last(i: int) -> int:
+    """Last letter of the dihedral element of index i, 0 for the identity:
+    the word 2L - 1 (first letter 1) ends in 1 and the word 2L (first letter
+    2) ends in 2 exactly when L is odd."""
+    return 1 + (i >> 1) % 2 if i else 0
 
 
-def _alt_right(i: int, g: int) -> int:
-    """Index of x s_{g+1} for x of index i in I2(inf): s cancels x's last
-    letter, two indices down (to e from a generator), or extends the word,
-    two indices up."""
+def _alt_right(i: int, g: int, top: int | None = None) -> int:
+    """Index of x s_{g+1} for x of index i: s cancels x's last letter, two
+    indices down (to e from a generator), or extends the word, two indices
+    up.  In I2(m), top = 2m - 1 is the index of w0: an up-step that would
+    land past w0 lands on w0, and w0 s drops the last letter of whichever of
+    w0's two alternating words ends in s."""
     if not i:
         return g + 1
-    _, length, last = _alt_ends(i)
-    if last == g + 1:
-        return i - 2 if length > 1 else 0
-    return i + 2
+    if (i >> 1) % 2 == g:  # s is x's last letter (_alt_last)
+        return i - 2 if i > 2 else 0  # indices 1 and 2 are the generators
+    if i == top:
+        return i - 1  # w0's word (2, 1, ...) ends in s
+    return i + 2 if top is None or i + 2 < top else top
 
 
 # I2(inf) walks (normal_form, multiply) store the steps of the elements of
@@ -263,29 +256,33 @@ def _path_cartan(n: int) -> list[list[int]]:
     return c
 
 
-def _abcd_order(family: str, n: int) -> int | None:
-    """|W| of A_n, B_n/C_n or D_n: (n + 1)!, 2^n n! or 2^(n-1) n!.
+def _abcd_order(family: str, n: int) -> tuple[int | None, int | None]:
+    """(|W|, l(w0)) of A_n, B_n/C_n or D_n from the degrees d_i of W: |W| is
+    their product, (n + 1)!, 2^n n! or 2^(n-1) n!, and l(w0) = |Phi+| the sum
+    of the d_i - 1.
 
-    Multiplied up one factor at a time and abandoned (None) as soon as it
-    passes MAX_FINITE_ORDER, so a huge rank is refused after a few steps.
+    Both are built up one degree at a time and abandoned (None, None) as soon
+    as |W| passes MAX_FINITE_ORDER, so a huge rank is refused after a few
+    steps.
     """
     if family == "A":
-        factors = range(2, n + 2)
+        degrees = range(2, n + 2)
     elif family == "D":
-        factors = itertools.chain((n,), range(2, 2 * n - 1, 2))
+        degrees = itertools.chain((n,), range(2, 2 * n - 1, 2))
     else:
-        factors = range(2, 2 * n + 1, 2)
-    order = 1
-    for f in factors:
-        order *= f
+        degrees = range(2, 2 * n + 1, 2)
+    order, longest = 1, 0
+    for d in degrees:
+        order *= d
+        longest += d - 1
         if order > MAX_FINITE_ORDER:
-            return None
-    return order
+            return None, None
+    return order, longest
 
 
 def _cartan_and_order(family: str, n: int) -> tuple[list[list[int]], int]:
     if family == "A":
-        return _path_cartan(n), _abcd_order(family, n)
+        return _path_cartan(n), _abcd_order(family, n)[0]
     if family in ("B", "C"):
         c = _path_cartan(n)
         if n >= 2:
@@ -295,7 +292,7 @@ def _cartan_and_order(family: str, n: int) -> tuple[list[list[int]], int]:
                 c[n - 2][n - 1], c[n - 1][n - 2] = -1, -2
             else:
                 c[n - 2][n - 1], c[n - 1][n - 2] = -2, -1
-        return c, _abcd_order(family, n)
+        return c, _abcd_order(family, n)[0]
     if family == "D":
         c = _path_cartan(n - 1)
         for row in c:
@@ -304,7 +301,7 @@ def _cartan_and_order(family: str, n: int) -> tuple[list[list[int]], int]:
         c[n - 1][n - 1] = 2
         if n >= 3:
             c[n - 3][n - 1] = c[n - 1][n - 3] = -1  # fork at the high end
-        return c, _abcd_order(family, n)
+        return c, _abcd_order(family, n)[0]
     if family == "G2":
         return [[2, -1], [-3, 2]], 12
     if family == "F4":
@@ -360,10 +357,10 @@ class CoxeterSystem:
     length order, with tables indexed by position: ``_elements``, one column
     per generator ``_rmult[g][x]`` and ``_lmult[g][x]`` (x s_{g+1} and
     s_{g+1} x), ``_inv``, ``_lengths`` and ``_last`` (the last letter of x's
-    canonical word, 0 for the identity).  A finite system also keeps
-    ``_keys``, the model's key of each element: the packed weight x^-1 rho
-    (an int) for a root system, a (kind, k) pair for I2(m).  Only the walk
-    reads the keys.
+    canonical word, 0 for the identity).  A root system also keeps
+    ``_keys``, the packed weight x^-1 rho (an int) of each element; only the
+    walk reads them.  Dihedral systems have no keys: their tables come from
+    the closed forms of the index (module docstring).
 
     A finite system is immutable after construction.  I2(inf) fills its
     tables on first use (a word walk stores the entries of elements of
@@ -377,11 +374,12 @@ class CoxeterSystem:
         self.matrix = matrix
         self.rank = matrix.rank
         self._model = model
-        self.is_finite = model is not None
-        if self.is_finite:
-            self._enumerate_all()
+        # a dihedral system without a model is I2(m), or I2(inf) for m None
+        self.is_finite = model is not None or matrix.order(1, 2) is not None
+        if model is None:
+            self._fill_dihedral(matrix.order(1, 2))
         else:
-            self._fill_on_demand()
+            self._enumerate_all()
 
     # -- construction ------------------------------------------------------
 
@@ -423,9 +421,7 @@ class CoxeterSystem:
         self._rmult = rmult
         self._lengths = [len(w) for w in words]
         self._last = last = [w[-1] if w else 0 for w in words]
-        self._elements = tuple(
-            Element(self, w, i) for i, w in enumerate(words)
-        )
+        self._elements = tuple(Element(self, w, i) for i, w in enumerate(words))
         # x = p s with p = x s its parent, earlier in the walk, as is the
         # inverse of p (same length): s_g x = (s_g p) s and x^-1 = s p^-1
         last_cols = [rmult[s - 1] for s in last[1:]]
@@ -443,17 +439,28 @@ class CoxeterSystem:
         self._lmult = lmult
         self._walk_stored = order
 
-    def _fill_on_demand(self):
-        # I2(inf): each entry from the closed forms of the index on first use
-        self._lengths = _Memo(lambda i: (i + 1) // 2)
-        self._last = _Memo(lambda i: _alt_ends(i)[2])
-        # the reversed word alternates from the last letter, with equal length
-        self._inv = inv = _Memo(lambda i: _alt_index(self._last[i], self._lengths[i]))
-        self._rmult = rmult = [_Memo(lambda i, g=g: _alt_right(i, g)) for g in (0, 1)]
+    def _fill_dihedral(self, m: int | None):
+        # each entry from the closed forms of the index (module docstring),
+        # into lists here for I2(m) and on first use for I2(inf)
+        if m is None:
+            top, table = None, _Memo
+        else:
+            top = 2 * m - 1  # the index of w0
+
+            def table(fn):
+                return list(map(fn, range(2 * m)))
+        self._lengths = lengths = table(lambda i: (i + 1) // 2)
+        self._last = last = table(_alt_last)
+        # the reversed word alternates from the last letter, with equal
+        # length; w0 is its own inverse
+        self._inv = inv = table(
+            lambda i: i if i == top else _alt_index(last[i], lengths[i]))
+        self._rmult = rmult = [table(lambda i, g=g: _alt_right(i, g, top)) for g in (0, 1)]
         # s x = (x^-1 s)^-1
-        self._lmult = [_Memo(lambda i, col=col: inv[col[inv[i]]]) for col in rmult]
-        self._elements = _Memo(lambda i: Element(self, _alt_word(*_alt_ends(i)[:2]), i))
-        self._walk_stored = _alt_index(2, _WALK_STORED_LEN) + 1
+        self._lmult = [table(lambda i, col=col: inv[col[inv[i]]]) for col in rmult]
+        elements = table(lambda i: Element(self, _alt_word(i), i))
+        self._elements = elements if m is None else tuple(elements)
+        self._walk_stored = _alt_index(2, _WALK_STORED_LEN) + 1 if m is None else 2 * m
 
     def _check_generator(self, gen: int):
         if not 1 <= gen <= self.rank:
@@ -485,23 +492,14 @@ class CoxeterSystem:
         return self._elements
 
     def elements_up_to(self, max_len: int) -> list[Element]:
-        """Elements of length <= max_len, same ordering as ``elements``.
-
-        A breadth-first walk of the tree of canonical words from e, where z =
-        x s is x's child iff s is z's last letter: it visits words by length,
-        then lexicographically, which is index order.
-        """
-        lengths, last = self._lengths, self._last
-        children = [(col, g + 1) for g, col in enumerate(self._rmult)]
-        found = [0] if max_len >= 0 else []
-        for x in found:  # found grows while it is walked
-            if lengths[x] == max_len:
-                break  # every later element is this long: no more children
-            for col, letter in children:
-                z = col[x]
-                if last[z] == letter:
-                    found.append(z)
-        return [self._elements[i] for i in found]
+        """Elements of length <= max_len, same ordering as ``elements``: an
+        index prefix, as index order is length order (I2(inf) has two
+        elements of every length >= 1)."""
+        if self.is_finite:
+            end = bisect.bisect_right(self._lengths, max_len)
+        else:
+            end = max(2 * max_len + 1, 0)
+        return [self._elements[i] for i in range(end)]
 
     def _check_member(self, a: Element):
         if a.system is not self:
@@ -586,8 +584,8 @@ class CoxeterSystem:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-        ordered = tuple(sorted(seen, key=lambda e: (len(e.word), e.word)))
-        return ConjugacyClass(ordered, min(len(e.word) for e in ordered))
+        ordered = tuple(sorted(seen, key=lambda e: e.index))
+        return ConjugacyClass(ordered, len(ordered[0].word))
 
     def coxeter_elements(self) -> tuple[Element, ...]:
         """Products of all generators, each used once, over all orderings."""
@@ -597,7 +595,7 @@ class CoxeterSystem:
             self.normal_form(p)
             for p in itertools.permutations(range(1, self.rank + 1))
         }
-        return tuple(sorted(found, key=lambda e: (len(e.word), e.word)))
+        return tuple(sorted(found, key=lambda e: e.index))
 
     def is_full_support(self, a: Element) -> bool:
         """True iff every generator appears in the (any) reduced word of a."""
@@ -653,8 +651,11 @@ class CoxeterSystem:
 # parsing
 
 
-# finite systems are enumerated eagerly; larger groups are refused up front
+# finite systems are built eagerly, each element with its canonical word;
+# groups with more elements, or with more letters over all their words, are
+# refused up front
 MAX_FINITE_ORDER = 50_000
+MAX_WORD_LETTERS = 1_000_000
 
 _ABCD_RE = re.compile(r"^([ABCD])(\d+)$")
 _I2_RE = re.compile(r"^I2\((inf|\d+)\)$")
@@ -666,9 +667,10 @@ def build_system(spec: str) -> CoxeterSystem:
 
     Recognized: ``A<n>`` (n >= 1), ``B<n>``/``C<n>`` (n >= 1), ``D<n>``
     (n >= 2), ``G2``, ``F4``, ``I2(<m>)`` (m >= 2), ``I2(inf)``.  Finite
-    systems are enumerated eagerly and the element count is checked against
-    the known group order.  Results are cached, so equal type strings share
-    one system object.
+    systems are built eagerly, after their order and the letter count of
+    their canonical words pass the guards, and a root system's element count
+    is checked against the known group order.  Results are cached, so equal
+    type strings share one system object.
     """
     spec = spec.strip()
     if spec in ("H3", "H4"):
@@ -684,7 +686,7 @@ def build_system(spec: str) -> CoxeterSystem:
         if n < 1 or (family == "D" and n < 2):
             raise ValueError(f"malformed type spec {spec!r}: rank too small")
         # the closed-form order first: the Cartan matrix alone has n^2 entries
-        _check_order(spec, _abcd_order(family, n))
+        _check_order(spec, *_abcd_order(family, n))
         cartan, order = _cartan_and_order(family, n)
         return _finish_root_system(spec, cartan, order)
     m = _I2_RE.match(spec)
@@ -695,21 +697,27 @@ def build_system(spec: str) -> CoxeterSystem:
         bound = int(arg)
         if bound < 2:
             raise ValueError(f"malformed type spec {spec!r}: need m >= 2")
-        _check_order(spec, 2 * bound)
-        sys_ = CoxeterSystem(spec, _dihedral_matrix(bound), _DihedralModel(bound))
-        if len(sys_._elements) != 2 * bound:
-            raise AssertionError("dihedral enumeration does not match 2m")
-        return sys_
+        _check_order(spec, 2 * bound, bound)
+        return CoxeterSystem(spec, _dihedral_matrix(bound), None)
     raise ValueError(f"malformed type spec {spec!r}")
 
 
-def _check_order(spec: str, order: int | None):
-    # None: the order is only known to pass the cap
+def _check_order(spec: str, order: int | None, longest: int | None):
+    # None: the order is only known to pass the cap, and l(w0) is not known
     if order is None or order > MAX_FINITE_ORDER:
         count = f"more than {MAX_FINITE_ORDER}" if order is None else order
         raise ValueError(
             f"{spec} has {count} elements; eager enumeration targets "
             f"desk-scale groups (at most {MAX_FINITE_ORDER} elements)"
+        )
+    # w -> w w0 pairs length l with l(w0) - l, so the canonical words hold
+    # |W| l(w0) / 2 letters in all (I2(m): m^2)
+    letters = order * longest // 2
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError(
+            f"{spec} has {order} elements whose canonical words hold {letters} "
+            f"letters; eager enumeration targets desk-scale groups (at most "
+            f"{MAX_WORD_LETTERS} letters)"
         )
 
 

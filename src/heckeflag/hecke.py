@@ -11,30 +11,33 @@ elements expand basis terms along reduced words; the structure constants of
 the T-basis and the trace of left multiplication are read off from such
 products.
 
-Inside a product each coefficient p(q) is one packed Python int, p(2^B)
+Every element holds each coefficient p(q) as one packed Python int, p(2^B)
 (Kronecker substitution): adding coefficients is adding ints, multiplying by
 q is ``<< B`` and multiplying two coefficients is multiplying ints, all
 exact.  Digits are balanced, so p decodes uniquely while every coefficient
-has |c| < 2^(B-1).  B comes from a proven bound: a length-raising step moves
-a term, a length-lowering step turns p into q p and (q - 1) p, so a step at
-most triples the l1 norm (the sum of |c| over all terms), and every
-coefficient of a * b is at most |a|_1 |b|_1 3^L, L the longest word
-expanded.  A packed result carries that bound and one on its longest word,
-so a later product sizes it without reading its terms, and uses its packed
-dict as it is when the width covers the new bound.  A basis element is born
-packed (1 at width 2), so every operand of a row walk carries its bounds.
+has |c| < 2^(B-1).  An element carries a bound on its l1 norm (the sum of |c|
+over all terms), which B holds, and one on its longest word.  One built from
+terms carries their exact measures, a sum the sum of the norms, a multiple
+by a scalar c the norm times |c|_1, and a product a proven bound: a
+length-raising step moves a term, a length-lowering step turns p into q p
+and (q - 1) p, so a step at most triples the l1 norm, and every coefficient
+of a * b is at most |a|_1 |b|_1 3^L, L the longest word expanded.  So an
+operation sizes its result without reading terms, and uses an operand's
+packed dict as it is when its width covers the new bound (a basis element is
+1 at width 2).
 Terms are keyed by the element's index, and a step by s reads one entry of
 the system's multiplication column of s per term, for finite systems and
 I2(inf) alike.  It reads no length: index order is length order, so of x
 and xs the longer one is the one with the larger index.
 
 Results decode lazily: ``coefficient(w)`` decodes one entry, ``terms``
-(Element -> IntPoly) is built the first time it is read, and ``values_at``
-reads every term at q = 1 or q = -1 without decoding.  ``row_products``
-alone forms T_w T_z for all z, each as (T_w T_z') T_s with z' the prefix of
-z's canonical word: one generator step per z.  ``diagonal_row`` (under
-``e_set`` and ``regular_trace``) decodes one coefficient of each, and the
-verify suites read their checks from the same rows.
+(Element -> IntPoly) is built the first time it is read unless the element
+was built from terms, and ``values_at`` reads every term at q = 1 or q = -1
+without decoding.  ``row_products`` alone forms T_w T_z for all z, each as
+(T_w T_z') T_s with z' the prefix of z's canonical word: one generator step
+per z.  ``diagonal_row`` (under ``e_set`` and ``regular_trace``) decodes one
+coefficient of each, and the verify suites read their checks from the same
+rows.
 
     >>> from heckeflag import build_system
     >>> H = HeckeAlgebra(build_system("A1"))
@@ -66,25 +69,27 @@ ROW_MAX_LEN = 500
 
 
 class HeckeElt:
-    """A finite formal sum of T-basis terms with IntPoly coefficients.
+    """A finite formal sum of T-basis terms with IntPoly coefficients, held
+    packed with the bounds it carries (module docstring).
 
-    ``terms`` maps Element -> IntPoly with no stored zero coefficient; a
-    basis element or a product's result holds packed coefficients and builds
-    ``terms`` when it is first read.  Instances are immutable by convention; use the arithmetic
+    One built from a dict of terms packs them once, at the width of their
+    exact l1 norm, and keeps its nonzero input terms as ``terms``; any other
+    builds ``terms`` (Element -> IntPoly, no zero coefficient) when it is
+    first read.  Instances are immutable by convention; use the arithmetic
     operators.
     """
 
     __slots__ = ("algebra", "_terms", "_packed", "_width", "_norm", "_longest")
 
     def __init__(self, algebra: "HeckeAlgebra", terms: dict[Element, IntPoly]):
-        system = algebra.system
-        for w in terms:
-            if w.system is not system:
-                raise ValueError("term keys must belong to the algebra's system")
+        if any(w.system is not algebra.system for w in terms):
+            raise ValueError("term keys must belong to the algebra's system")
+        self._norm = sum(map(_l1, terms.values()))
         self.algebra = algebra
         self._terms = {w: p for w, p in terms.items() if p}
-        self._packed = None
-        self._width = self._norm = self._longest = 0
+        self._width = _width(self._norm)
+        self._longest = max((len(w.word) for w in self._terms), default=0)
+        self._packed = algebra._pack(self, self._width)
 
     @classmethod
     def _from_packed(cls, algebra: "HeckeAlgebra", packed: dict, width: int,
@@ -111,8 +116,6 @@ class HeckeElt:
         return self._terms
 
     def coefficient(self, w: Element) -> IntPoly:
-        if self._terms is not None:
-            return self._terms.get(w, ZERO)
         if w.system is not self.algebra.system:
             return ZERO
         return _decode(self._packed.get(w.index, 0), self._width)
@@ -127,8 +130,6 @@ class HeckeElt:
         """
         if q not in (1, -1):
             raise ValueError(f"values_at reads q = 1 or q = -1, got {q}")
-        if self._packed is None:
-            return {w: p(q) for w, p in self._terms.items()}
         modulus = (1 << self._width) - q
         half = modulus >> 1
         elements = self.algebra.system._elements
@@ -139,8 +140,8 @@ class HeckeElt:
         return out
 
     def support(self) -> list[Element]:
-        """Basis elements with nonzero coefficient, by length then word."""
-        return sorted(self.terms, key=lambda e: (len(e.word), e.word))
+        """Basis elements with nonzero coefficient, in index (ShortLex) order."""
+        return sorted(self.terms, key=lambda e: e.index)
 
     def __bool__(self):
         return bool(self.terms)
@@ -157,15 +158,20 @@ class HeckeElt:
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         if not isinstance(other, HeckeElt):
             return NotImplemented
-        self.algebra._check_same(other)
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            acc = out.get(w)
-            out[w] = p if acc is None else acc + p
-        return HeckeElt(self.algebra, out)
+        algebra = self.algebra
+        algebra._check_same(other)
+        # the sum's l1 norm is at most the sum of the norms; both operands
+        # are packed at one width that holds it
+        norm = self._norm + other._norm
+        width = max(self._width, other._width, _width(norm))
+        out = dict(algebra._operand(self, width))
+        for k, v in algebra._operand(other, width).items():
+            out[k] = out.get(k, 0) + v
+        return HeckeElt._from_packed(
+            algebra, out, width, norm, max(self._longest, other._longest))
 
     def __neg__(self):
-        return HeckeElt(self.algebra, {w: -p for w, p in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
         if not isinstance(other, HeckeElt):
@@ -176,8 +182,16 @@ class HeckeElt:
         if isinstance(other, HeckeElt):
             return self.algebra.product(self, other)
         if isinstance(other, (int, IntPoly)):
+            # p(2^B) c(2^B) = (p c)(2^B) for every packed p, and the l1 norm
+            # of p c is at most the product of the two norms
             c = IntPoly((other,)) if isinstance(other, int) else other
-            return HeckeElt(self.algebra, {w: p * c for w, p in self.terms.items()})
+            norm = self._norm * _l1(c)
+            width = max(self._width, _width(norm))
+            packed = self.algebra._operand(self, width)
+            factor = c(1 << width)
+            return HeckeElt._from_packed(
+                self.algebra, {k: v * factor for k, v in packed.items()}, width, norm,
+                self._longest)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -225,21 +239,10 @@ class HeckeAlgebra:
         base = 1 << width
         return {w.index: p(base) for w, p in h.terms.items()}
 
-    def _packed_copy(self, h: HeckeElt) -> HeckeElt:
-        """Unpacked h packed at the width of its exact l1 norm, carrying its
-        exact bounds, and its terms so that a wider packing decodes nothing."""
-        _, longest, norm = _measure(h)
-        width = _width(norm)
-        copy = HeckeElt._from_packed(self, self._pack(h, width), width, norm, longest)
-        copy._terms = h.terms
-        return copy
-
-    def _operand(self, h: HeckeElt, width: int) -> tuple[dict, int]:
-        """Packed h's terms and their width, at least width: h's own dict as
-        it is when its width covers width, else h packed at width."""
-        if h._width >= width:
-            return h._packed, h._width
-        return self._pack(h, width), width
+    def _operand(self, h: HeckeElt, width: int) -> dict:
+        """h's terms packed at width, at least h's own: h's own dict as it is
+        when the widths are equal."""
+        return h._packed if h._width == width else self._pack(h, width)
 
     # -- single-generator steps ----------------------------------------------
 
@@ -271,20 +274,17 @@ class HeckeAlgebra:
         if a.algebra is not self or b.algebra is not self:
             self._check_same(a)
             self._check_same(b)
-        if a._packed is None:
-            a = self._packed_copy(a)
-        if b._packed is None:
-            b = self._packed_copy(b)
-        # the cost of expanding a factor, as _measure reads it off the
-        # carried bounds
+        # the cost of expanding a factor, bounded by its number of keys times
+        # its longest word
         if len(b._packed) * b._longest <= len(a._packed) * a._longest:
             kept, expanded, right = a, b, True
         else:
             kept, expanded, right = b, a, False
         norm = a._norm * b._norm * 3 ** expanded._longest
-        # never narrower than the expanded factor, so a chain of products
-        # keeps one width and packs nothing
-        start, width = self._operand(kept, max(_width(norm), expanded._width))
+        # never narrower than either factor, so a chain of products keeps one
+        # width and packs nothing
+        width = max(_width(norm), expanded._width, kept._width)
+        start = self._operand(kept, width)
         system = self.system
         cols, elements = (system._rmult if right else system._lmult), system._elements
         coeffs, coeff_width = expanded._packed, expanded._width
@@ -366,7 +366,7 @@ class HeckeAlgebra:
         element order; N(w, z, z), the coefficient of T_z in T_w * T_z, is
         the one coefficient decoded per product."""
         row = [(z, h.coefficient(z)) for z, h in self.row_products(w, max_len)]
-        row.sort(key=lambda zn: len(zn[0].word))  # stable: lexicographic to ShortLex
+        row.sort(key=lambda zn: zn[0].index)
         return row
 
     def regular_trace(self, w: Element) -> IntPoly:
@@ -411,22 +411,12 @@ def _generator_step(terms: dict, col, width: int) -> dict:
     return out
 
 
-def _measure(h: HeckeElt) -> tuple[int, int, int]:
-    """(total word length, longest word, l1 norm) of h's terms; the l1 norm
-    is the sum of |c| over every coefficient of every term.  A packed h is
-    measured by the bounds it carries, without reading its terms: its longest
-    word and norm, and its number of keys times the longest word."""
-    if h._packed is not None:
-        return len(h._packed) * h._longest, h._longest, h._norm
-    cost = longest = norm = 0
-    for x, p in h.terms.items():
-        n = len(x.word)
-        cost += n
-        if n > longest:
-            longest = n
-        for c in p:
-            norm += abs(c)
-    return cost, longest, norm
+def _l1(p: IntPoly) -> int:
+    """The l1 norm of p, the sum of |c| over its coefficients, which must be
+    integers."""
+    if not isinstance(p, IntPoly) or not all(isinstance(c, int) for c in p):
+        raise TypeError(f"coefficient {p!r} is not an IntPoly of integers")
+    return sum(map(abs, p))
 
 
 def _width(bound: int) -> int:

@@ -7,13 +7,14 @@ import io
 import json
 import subprocess
 import sys
+from math import isqrt
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from heckeflag import cli, coxeter, verify
-from heckeflag.coxeter import MAX_FINITE_ORDER, CoxeterSystem
+from heckeflag.coxeter import MAX_FINITE_ORDER, MAX_WORD_LETTERS, CoxeterSystem
 from heckeflag.flag import FlagSpace
 from heckeflag.hecke import ROW_MAX_LEN, HeckeAlgebra, HeckeElt
 from heckeflag.poly import ONE, Q_MINUS_ONE
@@ -466,11 +467,11 @@ def test_nconst_guard_reads_canonical_lengths():
 # parser robustness: every input exits 0 or 1, never 2, and never raises
 
 
-def _no_huge_enumeration(self):
-    # a dihedral group past the size guard must be refused before this point
-    model = self._model
-    assert not isinstance(model, coxeter._DihedralModel) or 2 * model.m <= MAX_FINITE_ORDER
-    return _enumerate_all(self)
+def _no_huge_dihedral_fill(self, m):
+    # a dihedral group past the size guards must be refused before this
+    # point: its words hold m^2 letters
+    assert m is None or m * m <= MAX_WORD_LETTERS
+    return _fill_dihedral(self, m)
 
 
 def _no_huge_cartan(family, n):
@@ -480,12 +481,12 @@ def _no_huge_cartan(family, n):
     return _cartan_and_order(family, n)
 
 
-_enumerate_all = CoxeterSystem._enumerate_all
+_fill_dihedral = CoxeterSystem._fill_dihedral
 _cartan_and_order = coxeter._cartan_and_order
 
 
 def _assert_exit_contract(argv):
-    with mock.patch.object(CoxeterSystem, "_enumerate_all", _no_huge_enumeration), \
+    with mock.patch.object(CoxeterSystem, "_fill_dihedral", _no_huge_dihedral_fill), \
             mock.patch.object(coxeter, "_cartan_and_order", _no_huge_cartan):
         result = cli.run(argv)
     assert result.exit_code in (0, 1)
@@ -496,10 +497,10 @@ def _assert_exit_contract(argv):
 
 
 def test_nconst_refuses_huge_dihedral(monkeypatch):
-    def no_enumeration(self):
-        raise AssertionError("enumeration started")
+    def no_fill(self, m):
+        raise AssertionError("tables filled")
 
-    monkeypatch.setattr(CoxeterSystem, "_enumerate_all", no_enumeration)
+    monkeypatch.setattr(CoxeterSystem, "_fill_dihedral", no_fill)
     result = cli.run(["nconst", "--type", "I2(1000000000)"])
     assert result.exit_code == 1
     assert "2000000000 elements" in result.diagnostics[0]
@@ -530,6 +531,8 @@ _TYPE_SPECS = st.one_of(
     st.tuples(st.sampled_from("ABCD"), st.integers(8, 10**40)).map(lambda t: f"{t[0]}{t[1]}"),
     st.integers(-3, 40).map(lambda m: f"I2({m})"),
     st.integers(MAX_FINITE_ORDER // 2 + 1, 10**40).map(lambda m: f"I2({m})"),
+    # past the letter guard alone
+    st.integers(isqrt(MAX_WORD_LETTERS) + 1, MAX_FINITE_ORDER // 2).map(lambda m: f"I2({m})"),
 )
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckeflag import coxeter, hecke
-from heckeflag.coxeter import MAX_FINITE_ORDER, CoxeterSystem, build_system
+from heckeflag.coxeter import MAX_FINITE_ORDER, MAX_WORD_LETTERS, CoxeterSystem, build_system
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +118,28 @@ def test_malformed_specs(bad):
 
 
 def test_dihedral_size_guard(monkeypatch):
-    # I2(m) is refused on 2m alone, before any element is enumerated
-    class Enumerated(Exception):
+    # I2(m) is refused on 2m and on the m^2 letters of its canonical words
+    # alone, before any table is filled
+    class Filled(Exception):
         pass
 
-    def no_enumeration(self):
-        raise Enumerated
+    def no_fill(self, m):
+        raise Filled
 
-    monkeypatch.setattr(CoxeterSystem, "_enumerate_all", no_enumeration)
+    monkeypatch.setattr(CoxeterSystem, "_fill_dihedral", no_fill)
+    build = build_system.__wrapped__  # past the cache
     with pytest.raises(ValueError, match="2000000000 elements"):
-        build_system("I2(1000000000)")
+        build("I2(1000000000)")
     with pytest.raises(ValueError, match=f"{MAX_FINITE_ORDER + 2} elements"):
-        build_system(f"I2({MAX_FINITE_ORDER // 2 + 1})")
-    # the largest allowed order gets as far as the enumeration
-    with pytest.raises(Enumerated):
-        build_system(f"I2({MAX_FINITE_ORDER // 2})")
+        build(f"I2({MAX_FINITE_ORDER // 2 + 1})")
+    with pytest.raises(ValueError, match="625000000 letters"):
+        build(f"I2({MAX_FINITE_ORDER // 2})")
+    with pytest.raises(ValueError, match=f"1002001 letters.*at most {MAX_WORD_LETTERS}"):
+        build("I2(1001)")
+    # the most letters allowed, 1000^2, get as far as the fill
+    assert MAX_WORD_LETTERS == 1000 ** 2
+    with pytest.raises(Filled):
+        build("I2(1000)")
 
 
 def test_root_system_size_guard(monkeypatch):
@@ -269,30 +276,39 @@ def test_canonical_word_is_shortlex_least_reduced_word(label):
         assert x.word == min(words)
 
 
-def test_dihedral_against_permutation_model():
-    # s1: i -> -i, s2: i -> 1 - i on Z/m realizes I2(m); multiplication in the
-    # package must match composition in this independent model
-    m = 5
+def _perm_of(word, gens):
+    # the permutation of a word: the product of its letters' permutations,
+    # composed so that word -> permutation is a homomorphism
+    p = tuple(range(len(gens[0])))
+    for g in word:
+        gen = gens[g - 1]
+        p = tuple(p[gen[i]] for i in range(len(p)))
+    return p
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 13])
+def test_dihedral_against_permutation_model(m):
+    # s1: (i, e) -> (-i, 1 - e), s2: (i, e) -> (1 - i, 1 - e) on the 2m
+    # points (i, e) of Z/m x Z/2, point i + m e, realize I2(m) faithfully
+    # (the flip of e keeps s1 nontrivial for m = 2); multiplication in the
+    # package must match composition in this independent model, and every
+    # table must match a breadth-first walk of the model
     system = build_system(f"I2({m})")
-    s1 = tuple((-i) % m for i in range(m))
-    s2 = tuple((1 - i) % m for i in range(m))
-    perms = {(): tuple(range(m))}
-
-    def perm_of(word):
-        p = tuple(range(m))
-        for g in word:
-            gen = s1 if g == 1 else s2
-            p = tuple(p[gen[i]] for i in range(m))
-        return p
-
+    gens = [tuple((-i) % m + m * (1 - e) for e in (0, 1) for i in range(m)),
+            tuple((1 - i) % m + m * (1 - e) for e in (0, 1) for i in range(m))]
     seen = {}
     for x in system.elements:
-        key = perm_of(x.word)
+        key = _perm_of(x.word, gens)
         assert key not in seen, "distinct elements collapse in the model"
         seen[key] = x
     for x in system.elements:
         for y in system.elements:
-            assert perm_of(system.multiply(x, y).word) == perm_of(x.word + y.word)
+            assert _perm_of(system.multiply(x, y).word, gens) == _perm_of(x.word + y.word, gens)
+    walk = _keyed_bfs(tuple(range(2 * m)), lambda p, g: tuple(p[i] for i in gens[g]), 2)
+    assert ([x.word for x in system.elements], system._rmult, system._lmult,
+            system._inv, system._lengths, system._last) == walk
+    assert [x.index for x in system.elements] == list(range(2 * m))
+    assert sum(len(x.word) for x in system.elements) == m * m  # the letter guard's count
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +340,43 @@ def test_f4_enumeration():
     assert f4.longest_element().length == 24
 
 
+def _keyed_bfs(identity, apply, rank):
+    """The breadth-first walk of the right Cayley graph keyed by an
+    independent model of the group, apply(key, g) being right multiplication
+    by s_{g+1}, with the inverse found by folding the reversed word: (words,
+    rmult, lmult, inv, lengths, last)."""
+    keys = [identity]
+    key_index = {identity: 0}
+    words, rmult = [()], [[-1] * rank]
+    idx = 0
+    while idx < len(keys):
+        for g in range(rank):
+            if rmult[idx][g] < 0:
+                key = apply(keys[idx], g)
+                j = key_index.get(key)
+                if j is None:
+                    j = key_index[key] = len(keys)
+                    keys.append(key)
+                    words.append(words[idx] + (g + 1,))
+                    rmult.append([-1] * rank)
+                rmult[idx][g], rmult[j][g] = j, idx
+        idx += 1
+    inv = []
+    for w in words:
+        j = 0
+        for g in reversed(w):
+            j = rmult[j][g - 1]
+        inv.append(j)
+    lmult = [[inv[rmult[inv[i]][g]] for g in range(rank)] for i in range(len(words))]
+    # the system keeps one column per generator: column g holds entry g of
+    # every row
+    return (words, [list(col) for col in zip(*rmult)], [list(col) for col in zip(*lmult)],
+            inv, [len(w) for w in words], [w[-1] if w else 0 for w in words])
+
+
 def _matrix_bfs(cartan):
-    """The breadth-first walk keyed by each element's integer matrix on
-    simple-root coordinates (its images of the simple roots, as columns),
-    with the inverse found by folding the reversed word: (words, rmult,
-    lmult, inv, lengths, last)."""
+    """The walk keyed by each element's integer matrix on simple-root
+    coordinates (its images of the simple roots, as columns)."""
     n = len(cartan)
 
     def apply(key, i):
@@ -342,33 +390,7 @@ def _matrix_bfs(cartan):
                 cols[j] = tuple(a - cartan[i][j] * b for a, b in zip(key[j], key[i]))
         return tuple(cols)
 
-    keys = [tuple(tuple(int(i == j) for i in range(n)) for j in range(n))]
-    key_index = {keys[0]: 0}
-    words, rmult = [()], [[-1] * n]
-    idx = 0
-    while idx < len(keys):
-        for g in range(n):
-            if rmult[idx][g] < 0:
-                key = apply(keys[idx], g)
-                j = key_index.get(key)
-                if j is None:
-                    j = key_index[key] = len(keys)
-                    keys.append(key)
-                    words.append(words[idx] + (g + 1,))
-                    rmult.append([-1] * n)
-                rmult[idx][g], rmult[j][g] = j, idx
-        idx += 1
-    inv = []
-    for w in words:
-        j = 0
-        for g in reversed(w):
-            j = rmult[j][g - 1]
-        inv.append(j)
-    lmult = [[inv[rmult[inv[i]][g]] for g in range(n)] for i in range(len(words))]
-    # the system keeps one column per generator: column g holds entry g of
-    # every row
-    return (words, [list(col) for col in zip(*rmult)], [list(col) for col in zip(*lmult)],
-            inv, [len(w) for w in words], [w[-1] if w else 0 for w in words])
+    return _keyed_bfs(tuple(tuple(int(i == j) for i in range(n)) for j in range(n)), apply, n)
 
 
 # every root type with at most 2000 elements
@@ -450,6 +472,13 @@ def test_every_root_type_fits_the_key_width(label):
         assert type(key) is int
         assert key == sum((c + bias) << (width * j) for j, c in enumerate(v))
     assert largest < bias, (largest, width)
+    # the letter guard's count, |W| l(w0) / 2, with |W| and l(w0) = |Phi+|
+    # from the degrees for A-D, is every letter of every canonical word
+    longest = len(model.positive_roots)
+    if label[0] in "ABCD":
+        assert coxeter._abcd_order(label[0], int(label[1:])) == (system.order, longest)
+    letters = sum(len(x.word) for x in system.elements)
+    assert letters == system.order * longest // 2 <= MAX_WORD_LETTERS
 
 
 # ---------------------------------------------------------------------------

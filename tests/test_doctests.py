@@ -1,6 +1,6 @@
 import doctest
 
-from heckeflag import hecke, poly
+from heckeflag import coxeter, hecke, poly
 
 
 def test_poly_doctests():
@@ -11,5 +11,11 @@ def test_poly_doctests():
 
 def test_hecke_doctests():
     results = doctest.testmod(hecke)
+    assert results.failed == 0
+    assert results.attempted > 0
+
+
+def test_coxeter_doctests():
+    results = doctest.testmod(coxeter)
     assert results.failed == 0
     assert results.attempted > 0

@@ -602,11 +602,15 @@ def test_product_with_an_operand_packed_wider_than_needed(data):
 
 def _assert_bounds_hold(h):
     # the norm, longest-word and cost bounds a packed result carries dominate
-    # its exact measures, so every width sized from them holds its digits
-    assert h._packed is not None
-    exact = hecke._measure(HeckeElt(h.algebra, h.terms))
-    carried = hecke._measure(h)
-    assert all(c >= e for c, e in zip(carried, exact)), (carried, exact)
+    # its exact measures, read from its decoded terms, so every width sized
+    # from them holds its digits
+    terms = h.terms
+    norm = sum(abs(c) for p in terms.values() for c in p)
+    longest = max((len(x.word) for x in terms), default=0)
+    cost = sum(len(x.word) for x in terms)
+    assert h._norm >= norm and h._longest >= longest, (h._norm, norm, h._longest, longest)
+    assert len(h._packed) * h._longest >= cost
+    assert h._width >= hecke._width(h._norm)
 
 
 def _assert_values_at_pm1(h, want):
@@ -694,7 +698,7 @@ def test_values_at_reads_the_residues_mod_two_to_the_width_minus_plus_one(monkey
         assert h.values_at(-1) == {x: p(-1)}
 
 
-def test_values_at_falls_back_to_terms():
+def test_values_at_an_element_built_from_terms():
     H = algebra("A2")
     s1, s12 = H.system.normal_form([1]), H.system.normal_form([1, 2])
     h = HeckeElt(H, {s1: Q_MINUS_ONE, s12: IntPoly((3, 0, 2))})
@@ -703,3 +707,76 @@ def test_values_at_falls_back_to_terms():
     for q in (0, 2, -2):
         with pytest.raises(ValueError, match="q = 1 or q = -1"):
             h.values_at(q)
+
+
+def test_an_element_built_from_terms_is_packed_at_its_exact_norm():
+    # packed once, at the width of the exact l1 norm 1 + 3 + 2 + 5 = 11; its
+    # input terms (zeros dropped) are its decoded view, not a decoding
+    H = algebra("A2")
+    s1, s12 = H.system.normal_form([1]), H.system.normal_form([1, 2])
+    terms = {s1: Q, s12: IntPoly((3, 0, -2)), H.system.identity: ZERO,
+             H.system.normal_form([2]): IntPoly((0, 0, 0, 5))}
+    h = HeckeElt(H, terms)
+    assert (h._norm, h._width, h._longest) == (11, hecke._width(11), 2)
+    assert h.terms == {w: p for w, p in terms.items() if p}
+    assert all(h.terms[w] is terms[w] for w in h.terms)
+    assert {k: hecke._decode(v, h._width) for k, v in h._packed.items()} == {
+        w.index: p for w, p in h.terms.items()}
+    zero = H.zero()
+    assert not zero and zero._packed == {} and zero.values_at(1) == {}
+
+
+@pytest.mark.parametrize("bad", [IntPoly((0.5,)), IntPoly((1, 2.0)), (1, 2), 3])
+def test_non_integer_coefficients_are_refused(bad):
+    # a float would die inside the width computation or ride along in a sum
+    H = algebra("A1")
+    s = H.system.normal_form([1])
+    with pytest.raises(TypeError, match=r"coefficient .* is not an IntPoly of integers"):
+        HeckeElt(H, {s: bad})
+    if isinstance(bad, IntPoly):
+        with pytest.raises(TypeError, match="is not an IntPoly of integers"):
+            bad * H.t_basis(s)
+
+
+_SCALARS = st.one_of(
+    st.sampled_from([0, -1, -3, 10**30, -(10**30)]), st.integers(-50, 50),
+    _COEFFS.map(IntPoly), st.just(IntPoly((0, 10**30, -1))))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_packed_sums_and_scalar_multiples_match_intpoly_reference(data):
+    # +, - and scalar * work on packed dicts at a common width; the
+    # reference adds and scales the IntPoly terms
+    label = data.draw(st.sampled_from(["B3", "I2(inf)"]))
+    H = algebra(label)
+    system = H.system
+    elements = system.elements if label == "B3" else system.elements_up_to(6)
+    picks = st.lists(st.tuples(st.integers(0, len(elements) - 1), _COEFFS),
+                     min_size=0, max_size=4)
+    a = _general(H, elements, data.draw(picks))
+    b = _general(H, elements, data.draw(picks))
+    # operands of every kind: built from terms, a basis element, a product
+    # result, and a result packed wider than its norm needs
+    t = H.t_basis(elements[data.draw(st.integers(0, len(elements) - 1))])
+    kinds = [a, t, H.product(a, t), _packed_wider(H, a, data.draw(st.integers(0, 40)))]
+    x = kinds[data.draw(st.integers(0, 3))]
+    y = kinds[data.draw(st.integers(0, 3))] if data.draw(st.booleans()) else b
+    c = data.draw(_SCALARS)
+    cp = IntPoly((c,)) if isinstance(c, int) else c
+    want_x, want_y = x.terms, y.terms
+    sum_want = dict(want_x)
+    for w, p in want_y.items():
+        sum_want[w] = sum_want.get(w, ZERO) + p
+    diff_want = dict(want_x)
+    for w, p in want_y.items():
+        diff_want[w] = diff_want.get(w, ZERO) - p
+    for got, want in ((x + y, sum_want), (x - y, diff_want), (-x, {w: -p for w, p in want_x.items()}),
+                      (x * c, {w: p * cp for w, p in want_x.items()}),
+                      (c * x, {w: p * cp for w, p in want_x.items()})):
+        want = _nonzero(want)
+        assert got.terms == want
+        _assert_bounds_hold(got)
+        _assert_values_at_pm1(got, want)
+        # results chain: a product of a result is the reference product
+        assert H.product(got, t) == product_fixed_direction(H, HeckeElt(H, want), t, right=True)
