@@ -14,10 +14,16 @@ so a fresh checkout self-verifies:
     heckeflag verify hecke --type A3
     heckeflag verify all
 
-This module parses arguments and renders the suites' check records.  Repeated
---n/--q pairs run the flags suite on each space in order; its CSV has one
-header and a row n,q,w,z,observed,predicted,match per count, with z = "total"
-for the whole-space counts.
+Each command computes its data once: a JSON document, CSV rows and a table.
+``run`` renders the chosen --format of it and turns any ValueError into exit
+1.  Repeated --n/--q pairs run the flags suite on each space in order; its CSV
+has one header and a row n,q,w,z,observed,predicted,match per count, with
+z = "total" for the whole-space counts.  In process, ``run`` returns what
+``main`` prints:
+
+    >>> print(run(["trace", "--type", "A1", "--w", "1", "--at", "-1"]).payload, end="")
+    trace(T_[1]) = q - 1
+    value at q = -1: -2
 """
 
 from __future__ import annotations
@@ -28,15 +34,13 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .coxeter import build_system
 from .eset import e_set
 from .hecke import ROW_MAX_LEN, HeckeAlgebra
-from .poly import IntPoly
 from .verify import _word_str, run_suite
 
-__all__ = ["CommandResult", "main", "cmd_nconst", "cmd_eset", "cmd_trace", "cmd_verify"]
+__all__ = ["CommandResult", "main", "run"]
 
 _EXIT_CODES = {"ok": 0, "verification_failed": 2, "error": 1}
 
@@ -54,20 +58,19 @@ class CommandResult:
 
 def _parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+    parts = [part.strip() for part in text.split(",")] if text else []
+    # exactly the strings int() reads, apart from digit-group underscores
+    if not all((p[1:] if p[:1] in "+-" else p).isdecimal() for p in parts):
         raise ValueError(f"malformed word {text!r}: expected comma-separated integers")
+    return tuple(map(int, parts))
 
 
 def _clip(cell: str, limit: int = 48) -> str:
     return cell if len(cell) <= limit else cell[: limit - 3] + "..."
 
 
-def _render_table(header: list[str], rows: list[list[str]]) -> str:
-    rows = [[_clip(c) for c in row] for row in rows]
+def _render_table(header: list[str], rows: list[list]) -> str:
+    rows = [[_clip(str(c)) for c in row] for row in rows]
     widths = [len(h) for h in header]
     for row in rows:
         for k, cell in enumerate(row):
@@ -81,166 +84,112 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (JSON document, CSV rows thunk with the header row
+# first, table text thunk, number of mismatched checks); run renders one
+# format of it
 
 
-def cmd_nconst(type_spec: str, w_word: str, wp_word: str, fmt: str = "table") -> CommandResult:
+def _nconst(args):
     """All nonzero structure constants N(w, wp, .) as records."""
-    try:
-        system = build_system(type_spec)
-        w = system.normal_form(_parse_word(w_word))
-        wp = system.normal_form(_parse_word(wp_word))
-        length = len(w.word) + len(wp.word)
-        if not system.is_finite and length > ROW_MAX_LEN:
-            # the product's time and memory grow steeply with the lengths
-            raise ValueError(
-                f"nconst on {type_spec} refused: l(w) + l(wp) = {length} exceeds "
-                f"{ROW_MAX_LEN}")
-        algebra = HeckeAlgebra(system)
-        prod = algebra.product(algebra.t_basis(w), algebra.t_basis(wp))
-    except ValueError as exc:
-        return CommandResult("error", diagnostics=[str(exc)])
+    system = build_system(args.type)
+    w = system.normal_form(_parse_word(args.w))
+    wp = system.normal_form(_parse_word(args.wp))
+    length = len(w.word) + len(wp.word)
+    if not system.is_finite and length > ROW_MAX_LEN:
+        # the product's time and memory grow steeply with the lengths
+        raise ValueError(
+            f"nconst on {args.type} refused: l(w) + l(wp) = {length} exceeds {ROW_MAX_LEN}")
+    algebra = HeckeAlgebra(system)
+    prod = algebra.product(algebra.t_basis(w), algebra.t_basis(wp))
+    terms = [(x, prod.coefficient(x)) for x in prod.support()]
+    doc = [{"w": w.to_json(), "wp": wp.to_json(), "wpp": x.to_json(), "N": list(n)}
+           for x, n in terms]
+    header = ["w", "wp", "wpp", "N"]
 
-    records = [
-        {"w": w.to_json(), "wp": wp.to_json(), "wpp": wpp.to_json(),
-         "N": list(prod.coefficient(wpp))}
-        for wpp in prod.support()
-    ]
-    if fmt == "json":
-        payload = json.dumps(records, indent=2) + "\n"
-    elif fmt == "csv":
-        rows = [
-            [_word_str(r["w"]), _word_str(r["wp"]), _word_str(r["wpp"]), _word_str(r["N"])]
-            for r in records
-        ]
-        payload = _render_csv(["w", "wp", "wpp", "N"], rows)
-    else:
-        rows = [
-            [_word_str(r["w"]), _word_str(r["wp"]), _word_str(r["wpp"]),
-             str(IntPoly(r["N"]))]
-            for r in records
-        ]
-        payload = _render_table(["w", "wp", "wpp", "N"], rows)
-    return CommandResult("ok", payload)
+    def rows(poly_str):
+        return [[_word_str(w.word), _word_str(wp.word), _word_str(x.word), poly_str(n)]
+                for x, n in terms]
+
+    return doc, lambda: [header, *rows(_word_str)], lambda: _render_table(header, rows(str)), 0
 
 
-def cmd_eset(type_spec: str, w_word: str, max_len: int | None, fmt: str = "table") -> CommandResult:
+def _eset(args):
     """Diagonal-support report for w, including d and the degree maximizers."""
-    try:
-        system = build_system(type_spec)
-        w = system.normal_form(_parse_word(w_word))
-        report = e_set(HeckeAlgebra(system), w, max_len)
-    except ValueError as exc:
-        return CommandResult("error", diagnostics=[str(exc)])
-
+    system = build_system(args.type)
+    w = system.normal_form(_parse_word(args.w))
+    report = e_set(HeckeAlgebra(system), w, args.max_len)
     doc = report.to_json()
-    if fmt == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "csv":
-        rows = [
-            [_word_str(m["z"]), _word_str(m["N"]), str(m["deg"])] for m in doc["members"]
-        ]
-        payload = _render_csv(["z", "N", "deg"], rows)
-    else:
+    header = ["z", "N", "deg"]
+
+    def table():
         head = [
-            f"w = [{_word_str(doc['w'])}]",
-            f"truncation = {doc['truncation']}",
-            f"d = {doc['d']}",
-            "e_prime = " + "; ".join(f"[{_word_str(z)}]" for z in doc["e_prime"]),
+            f"w = [{_word_str(w.word)}]",
+            f"truncation = {report.truncation}",
+            f"d = {report.d}",
+            "e_prime = " + "; ".join(f"[{_word_str(z.word)}]" for z in report.e_prime),
         ]
-        rows = [
-            [f"[{_word_str(m['z'])}]", str(IntPoly(m["N"])), str(m["deg"])]
-            for m in doc["members"]
-        ]
-        payload = "\n".join(head) + "\n" + _render_table(["z", "N", "deg"], rows)
-    return CommandResult("ok", payload)
+        rows = [[f"[{_word_str(z.word)}]", n, deg] for z, n, deg in report.members]
+        return "\n".join(head) + "\n" + _render_table(header, rows)
+
+    def csv_rows():
+        return [header] + [[_word_str(z.word), _word_str(n), deg] for z, n, deg in report.members]
+
+    return doc, csv_rows, table, 0
 
 
-def cmd_trace(type_spec: str, w_word: str, at: int | None, fmt: str = "table") -> CommandResult:
+def _trace(args):
     """Regular trace of T_w as a polynomial, optionally evaluated."""
-    try:
-        system = build_system(type_spec)
-        w = system.normal_form(_parse_word(w_word))
-        trace = HeckeAlgebra(system).regular_trace(w)
-    except ValueError as exc:
-        return CommandResult("error", diagnostics=[str(exc)])
-
+    system = build_system(args.type)
+    w = system.normal_form(_parse_word(args.w))
+    trace = HeckeAlgebra(system).regular_trace(w)
+    at = args.at
     value = trace(at) if at is not None else None
-    doc = {"type": type_spec, "w": w.to_json(), "trace": list(trace),
-           "at": at, "value": value}
-    if fmt == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
-    elif fmt == "csv":
-        payload = _render_csv(
-            ["type", "w", "trace", "at", "value"],
-            [[type_spec, _word_str(doc["w"]), _word_str(doc["trace"]),
-              "" if at is None else str(at), "" if value is None else str(value)]],
-        )
-    else:
-        lines = [f"trace(T_[{_word_str(doc['w'])}]) = {trace}"]
-        if at is not None:
-            lines.append(f"value at q = {at}: {value}")
-        payload = "\n".join(lines) + "\n"
-    return CommandResult("ok", payload)
+    doc = {"type": args.type, "w": w.to_json(), "trace": list(trace), "at": at, "value": value}
+    line = f"trace(T_[{_word_str(w.word)}]) = {trace}\n"
+    # the CSV writer writes None as an empty cell
+    return (doc,
+            lambda: [["type", "w", "trace", "at", "value"],
+                     [args.type, _word_str(w.word), _word_str(trace), at, value]],
+            lambda: line if at is None else line + f"value at q = {at}: {value}\n", 0)
 
 
-def cmd_verify(suite: str, type_spec: str = "A3",
-               spaces: Sequence[tuple[int, int]] = ((2, 3),),
-               fmt: str = "table") -> CommandResult:
-    """Run a verification suite; mismatches are listed and set exit code 2.
-
-    type_spec selects the hecke suite's type, spaces the (n, q) flag spaces of
-    the flags suite, in order.
-    """
-    try:
-        checks = run_suite(suite, type_spec, spaces)
-    except ValueError as exc:
-        return CommandResult("error", diagnostics=[str(exc)])
-
+def _verify(args):
+    """A verification suite: --type is the hecke suite's type, the --n/--q
+    pairs the flags suite's spaces, in order; a mismatch sets exit code 2."""
+    suite = args.suite if args.suite is not None else args.suite_pos
+    if suite is None:
+        raise ValueError("verify needs a suite: hecke|dihedral|flags|all")
+    ns, qs = args.n or [2], args.q or [3]
+    if len(ns) != len(qs):
+        raise ValueError(f"verify needs one --q per --n: got {len(ns)} --n and {len(qs)} --q")
+    checks = run_suite(suite, args.type, list(zip(ns, qs)))
     failures = [c for c in checks if not c.ok]
-    status = "ok" if not failures else "verification_failed"
     summary = f"{len(checks)} checks, {len(failures)} mismatches"
+    doc = {"status": "verification_failed" if failures else "ok", "summary": summary,
+           "checks": [c.to_json() for c in checks]}
 
-    if fmt == "json":
-        doc = {"status": status, "summary": summary, "checks": [c.to_json() for c in checks]}
-        payload = json.dumps(doc, indent=2, default=str) + "\n"
-    elif fmt == "csv" and suite == "flags":
-        rows = [
-            [str(c.n), str(c.q), _word_str(c.w),
-             c.z if isinstance(c.z, str) else _word_str(c.z),
-             str(c.observed), str(c.predicted), "1" if c.ok else "0"]
-            for c in checks
-        ]
-        payload = _render_csv(["n", "q", "w", "z", "observed", "predicted", "match"], rows)
-    elif fmt == "csv":
-        rows = [
-            [c.suite, c.name, str(c.observed), str(c.predicted), "1" if c.ok else "0"]
-            for c in checks
-        ]
-        payload = _render_csv(["suite", "check", "observed", "predicted", "ok"], rows)
-    else:
-        rows = [
-            [c.suite, c.name, str(c.observed), str(c.predicted),
-             "ok" if c.ok else "MISMATCH"]
-            for c in (failures or checks)
-        ]
-        payload = _render_table(["suite", "check", "observed", "predicted", "status"], rows)
-        payload += summary + "\n"
-    diagnostics = [] if not failures else [f"{len(failures)} verification mismatches"]
-    return CommandResult(status, payload, diagnostics)
+    def csv_rows():
+        if suite == "flags":
+            return [["n", "q", "w", "z", "observed", "predicted", "match"]] + [
+                [c.n, c.q, _word_str(c.w), c.z if isinstance(c.z, str) else _word_str(c.z),
+                 c.observed, c.predicted, int(c.ok)] for c in checks]
+        return [["suite", "check", "observed", "predicted", "ok"]] + [
+            [c.suite, c.name, c.observed, c.predicted, int(c.ok)] for c in checks]
+
+    def table():
+        return _render_table(["suite", "check", "observed", "predicted", "status"], [
+            [c.suite, c.name, c.observed, c.predicted, "ok" if c.ok else "MISMATCH"]
+            for c in (failures or checks)]) + summary + "\n"
+
+    return doc, csv_rows, table, len(failures)
+
+
+_COMMANDS = {"nconst": _nconst, "eset": _eset, "trace": _trace, "verify": _verify}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and rendering
 
 
 class _Parser(argparse.ArgumentParser):
@@ -255,25 +204,20 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = dict(default="table", choices=["table", "json", "csv"])
-
     p = sub.add_parser("nconst", help="nonzero structure constants of T_w * T_wp")
     p.add_argument("--type", required=True)
     p.add_argument("--w", default="")
     p.add_argument("--wp", default="")
-    p.add_argument("--format", **common)
 
     p = sub.add_parser("eset", help="diagonal-support report for w")
     p.add_argument("--type", required=True)
     p.add_argument("--w", default="")
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--format", **common)
 
     p = sub.add_parser("trace", help="regular trace of T_w")
     p.add_argument("--type", required=True)
     p.add_argument("--w", default="")
     p.add_argument("--at", type=int, default=None)
-    p.add_argument("--format", **common)
 
     p = sub.add_parser("verify", help="run a self-contained verification suite")
     p.add_argument("suite_pos", nargs="?", default=None,
@@ -283,29 +227,32 @@ def _build_parser() -> _Parser:
     # repeated --n/--q pairs select several flag spaces, in order
     p.add_argument("--n", type=int, action="append")
     p.add_argument("--q", type=int, action="append")
-    p.add_argument("--format", **common)
+
+    for p in sub.choices.values():
+        p.add_argument("--format", default="table", choices=["table", "json", "csv"])
     return parser
 
 
 def run(argv: list[str] | None = None) -> CommandResult:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "nconst":
-            return cmd_nconst(args.type, args.w, args.wp, args.format)
-        if args.command == "eset":
-            return cmd_eset(args.type, args.w, args.max_len, args.format)
-        if args.command == "trace":
-            return cmd_trace(args.type, args.w, args.at, args.format)
-        suite = args.suite if args.suite is not None else args.suite_pos
-        if suite is None:
-            raise ValueError("verify needs a suite: hecke|dihedral|flags|all")
-        ns, qs = args.n or [2], args.q or [3]
-        if len(ns) != len(qs):
-            raise ValueError(f"verify needs one --q per --n: got {len(ns)} --n and {len(qs)} --q")
-        return cmd_verify(suite, args.type, list(zip(ns, qs)), args.format)
+        args = _build_parser().parse_args(argv)
+        doc, csv_rows, table, mismatches = _COMMANDS[args.command](args)
+        # rendering stays inside the try: str() of an int past Python's digit
+        # limit (a huge --at) raises ValueError too
+        if args.format == "json":
+            payload = json.dumps(doc, indent=2, default=str) + "\n"
+        elif args.format == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(csv_rows())
+            payload = buf.getvalue()
+        else:
+            payload = table()
     except ValueError as exc:
         return CommandResult("error", diagnostics=[str(exc)])
+    if mismatches:
+        return CommandResult("verification_failed", payload,
+                             [f"{mismatches} verification mismatches"])
+    return CommandResult("ok", payload)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,6 +12,12 @@ Membership is decided by computing the product T_w * T_z for every candidate
 z, each as (T_w T_z') T_s from the product of its prefix z' (one generator
 step per z, see ``HeckeAlgebra.diagonal_row``); no shortcut identities are
 used.  Infinite systems accept 0 <= max_len <= ``hecke.ROW_MAX_LEN``.
+
+    >>> from heckeflag import HeckeAlgebra, build_system
+    >>> system = build_system("I2(4)")
+    >>> report = e_set(HeckeAlgebra(system), system.normal_form([1, 2]))
+    >>> [(z.word, str(n), deg) for z, n, deg in report.members], report.d
+    ([((1, 2, 1, 2), 'q^2 - 2q + 1', 2)], 2)
 """
 
 from __future__ import annotations

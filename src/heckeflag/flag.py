@@ -314,9 +314,6 @@ class FlagSpace:
 
     # -- basic maps ----------------------------------------------------------
 
-    def permutation_of(self, w: Element) -> tuple[int, ...]:
-        return self._perm_of[w]
-
     def element_of_permutation(self, perm: Sequence[int]) -> Element:
         return self._elt_of[tuple(perm)]
 

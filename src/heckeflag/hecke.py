@@ -115,6 +115,14 @@ class HeckeElt:
             }
         return self._terms
 
+    def _at_width(self, width: int) -> dict:
+        """The packed dict at width, at least the element's own: its own dict
+        as it is when the widths are equal, else every packed int
+        re-evaluated at the new width; ``terms`` stays unread."""
+        if width == self._width:
+            return self._packed
+        return {k: _repack(v, self._width, width) for k, v in self._packed.items()}
+
     def coefficient(self, w: Element) -> IntPoly:
         if w.system is not self.algebra.system:
             return ZERO
@@ -164,8 +172,8 @@ class HeckeElt:
         # are packed at one width that holds it
         norm = self._norm + other._norm
         width = max(self._width, other._width, _width(norm))
-        out = dict(algebra._operand(self, width))
-        for k, v in algebra._operand(other, width).items():
+        out = dict(self._at_width(width))
+        for k, v in other._at_width(width).items():
             out[k] = out.get(k, 0) + v
         return HeckeElt._from_packed(
             algebra, out, width, norm, max(self._longest, other._longest))
@@ -187,7 +195,7 @@ class HeckeElt:
             c = IntPoly((other,)) if isinstance(other, int) else other
             norm = self._norm * _l1(c)
             width = max(self._width, _width(norm))
-            packed = self.algebra._operand(self, width)
+            packed = self._at_width(width)
             factor = c(1 << width)
             return HeckeElt._from_packed(
                 self.algebra, {k: v * factor for k, v in packed.items()}, width, norm,
@@ -236,13 +244,9 @@ class HeckeAlgebra:
     # -- packed terms ------------------------------------------------------------
 
     def _pack(self, h: HeckeElt, width: int) -> dict:
+        """h's decoded ``terms`` packed at width, for the terms constructor."""
         base = 1 << width
         return {w.index: p(base) for w, p in h.terms.items()}
-
-    def _operand(self, h: HeckeElt, width: int) -> dict:
-        """h's terms packed at width, at least h's own: h's own dict as it is
-        when the widths are equal."""
-        return h._packed if h._width == width else self._pack(h, width)
 
     # -- single-generator steps ----------------------------------------------
 
@@ -284,7 +288,7 @@ class HeckeAlgebra:
         # never narrower than either factor, so a chain of products keeps one
         # width and packs nothing
         width = max(_width(norm), expanded._width, kept._width)
-        start = self._operand(kept, width)
+        start = kept._at_width(width)
         system = self.system
         cols, elements = (system._rmult if right else system._lmult), system._elements
         coeffs, coeff_width = expanded._packed, expanded._width
@@ -297,7 +301,7 @@ class HeckeAlgebra:
             for gen in word if right else reversed(word):
                 cur = _generator_step(cur, cols[gen - 1], width)
             if c != 1 and coeff_width != width:
-                c = _decode(c, coeff_width)(1 << width)
+                c = _repack(c, coeff_width, width)
             if c == 1 and len(coeffs) == 1:
                 total = cur
             else:
@@ -412,9 +416,9 @@ def _generator_step(terms: dict, col, width: int) -> dict:
 
 
 def _l1(p: IntPoly) -> int:
-    """The l1 norm of p, the sum of |c| over its coefficients, which must be
-    integers."""
-    if not isinstance(p, IntPoly) or not all(isinstance(c, int) for c in p):
+    """The l1 norm of p, the sum of |c| over its coefficients (an IntPoly
+    holds integers only)."""
+    if not isinstance(p, IntPoly):
         raise TypeError(f"coefficient {p!r} is not an IntPoly of integers")
     return sum(map(abs, p))
 
@@ -422,6 +426,11 @@ def _l1(p: IntPoly) -> int:
 def _width(bound: int) -> int:
     """Digit width B holding every coefficient of absolute value <= bound."""
     return bound.bit_length() + 1
+
+
+def _repack(v: int, width: int, new_width: int) -> int:
+    """p(2^new_width) for the packed v = p(2^width)."""
+    return _decode(v, width)(1 << new_width)
 
 
 def _decode(v: int, width: int) -> IntPoly:

@@ -3,9 +3,10 @@ Hecke algebra.
 
 A polynomial is stored densely as a tuple of arbitrary-precision integer
 coefficients in ascending powers of q, with no trailing zeros; the zero
-polynomial is the empty tuple.  The degree of the zero polynomial is the
-``MINUS_INFINITY`` sentinel, which compares below every integer but is not a
-number itself.
+polynomial is the empty tuple; any other coefficient (a float, a string) is
+refused with TypeError when the polynomial is built.  The degree of the zero
+polynomial is the ``MINUS_INFINITY`` sentinel, which compares below every
+integer but is not a number itself.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ class IntPoly(tuple):
 
     def __new__(cls, coeffs: Iterable[int] = ()):
         coeffs = tuple(coeffs)
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise TypeError(f"IntPoly coefficient {c!r} is not an int")
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1

@@ -1,6 +1,6 @@
-"""CLI tests run the command functions in process and check the payloads,
-the exit-code contract, and determinism; one subprocess smoke test covers the
-real entry point."""
+"""CLI tests call ``cli.run`` in process and check the payloads of every
+format, the exit-code contract, and determinism; one subprocess smoke test
+covers the real entry point."""
 
 import csv
 import io
@@ -253,7 +253,8 @@ def test_verify_detects_mismatches(monkeypatch):
     assert result.status == "verification_failed"
     assert result.exit_code == 2
     assert "MISMATCH" in result.payload
-    assert result.diagnostics
+    assert result.payload.endswith("10 checks, 6 mismatches\n")
+    assert result.diagnostics == ["6 verification mismatches"]
 
 
 SPACES = ["--n", "2", "--q", "3", "--n", "2", "--q", "5", "--n", "2", "--q", "7",
@@ -279,7 +280,7 @@ def test_verify_flags_several_spaces_detect_mismatches(monkeypatch):
         (z, n + 1) for z, n in original(self, w, max_len)])
     result = cli.run(["verify", "flags", *SPACES, "--format", "csv"])
     assert result.exit_code == 2
-    assert result.diagnostics
+    assert result.diagnostics == ["60 verification mismatches"]
 
 
 def test_verify_flags_refuses_any_pair():
@@ -540,6 +541,54 @@ _TYPE_SPECS = st.one_of(
 @settings(max_examples=80, deadline=None)
 def test_fuzz_type_argument(spec, word):
     _assert_exit_contract(["nconst", "--type", spec, "--w", word, "--wp", word])
+
+
+# ---------------------------------------------------------------------------
+# table and CSV renderers, pinned byte for byte
+
+
+_A2_NCONST = ["nconst", "--type", "A2", "--w", "1,2", "--wp", "2"]
+_I24_ESET = ["eset", "--type", "I2(4)", "--w", "1,2"]
+_INF_ESET = ["eset", "--type", "I2(inf)", "--w", "1,2,1", "--max-len", "6"]
+_A2_TRACE = ["trace", "--type", "A2", "--w", "1,2"]
+_INF_ESET_Z = ("1,2", "1,2,1", "1,2,1,2", "1,2,1,2,1", "1,2,1,2,1,2")
+
+
+@pytest.mark.parametrize("argv, fmt, payload", [
+    (_A2_NCONST, "table",
+     "w    wp  wpp  N\n"
+     "---  --  ---  -----\n"
+     "1,2  2   1    q\n"
+     "1,2  2   1,2  q - 1\n"),
+    (_A2_NCONST, "csv", 'w,wp,wpp,N\n"1,2",2,1,"0,1"\n"1,2",2,"1,2","-1,1"\n'),
+    (_I24_ESET, "table",
+     "w = [1,2]\ntruncation = None\nd = 2\ne_prime = [1,2,1,2]\n"
+     "z          N             deg\n"
+     "---------  ------------  ---\n"
+     "[1,2,1,2]  q^2 - 2q + 1  2\n"),
+    (_I24_ESET, "csv", 'z,N,deg\n"1,2,1,2","1,-2,1",2\n'),
+    (_INF_ESET, "table",
+     "w = [1,2,1]\ntruncation = 6\nd = 2\n"
+     "e_prime = [1,2]; [1,2,1]; [1,2,1,2]; [1,2,1,2,1]; [1,2,1,2,1,2]\n"
+     "z              N        deg\n"
+     "-------------  -------  ---\n"
+     "[1,2]          q^2 - q  2\n"
+     "[1,2,1]        q^2 - q  2\n"
+     "[1,2,1,2]      q^2 - q  2\n"
+     "[1,2,1,2,1]    q^2 - q  2\n"
+     "[1,2,1,2,1,2]  q^2 - q  2\n"),
+    (_INF_ESET, "csv",
+     "z,N,deg\n" + "".join(f'"{z}","0,-1,1",2\n' for z in _INF_ESET_Z)),
+    (_A2_TRACE, "table", "trace(T_[1,2]) = q^2 - 2q + 1\n"),
+    (_A2_TRACE, "csv", 'type,w,trace,at,value\nA2,"1,2","1,-2,1",,\n'),
+    (_A2_TRACE + ["--at", "-1"], "table",
+     "trace(T_[1,2]) = q^2 - 2q + 1\nvalue at q = -1: 4\n"),
+    (_A2_TRACE + ["--at", "-1"], "csv", 'type,w,trace,at,value\nA2,"1,2","1,-2,1",-1,4\n'),
+], ids=[f"{name}-{fmt}" for name in ("nconst", "eset-I2(4)", "eset-I2(inf)", "trace", "trace-at")
+         for fmt in ("table", "csv")])
+def test_renderers_are_pinned(argv, fmt, payload):
+    result = cli.run(argv + ["--format", fmt])
+    assert (result.status, result.payload, result.diagnostics) == ("ok", payload, [])
 
 
 # ---------------------------------------------------------------------------

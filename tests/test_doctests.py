@@ -1,6 +1,6 @@
 import doctest
 
-from heckeflag import coxeter, hecke, poly
+from heckeflag import cli, coxeter, eset, hecke, poly
 
 
 def test_poly_doctests():
@@ -17,5 +17,17 @@ def test_hecke_doctests():
 
 def test_coxeter_doctests():
     results = doctest.testmod(coxeter)
+    assert results.failed == 0
+    assert results.attempted > 0
+
+
+def test_eset_doctests():
+    results = doctest.testmod(eset)
+    assert results.failed == 0
+    assert results.attempted > 0
+
+
+def test_cli_doctests():
+    results = doctest.testmod(cli)
     assert results.failed == 0
     assert results.attempted > 0

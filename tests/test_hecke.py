@@ -540,11 +540,12 @@ def test_f4_row_packs_nothing_and_decodes_no_product(monkeypatch):
             decoded.append(self)
         return terms.fget(self)
 
-    def no_pack(self, h, width):
+    def no_pack(*args):
         raise AssertionError("a row step packed an operand")
 
     monkeypatch.setattr(HeckeElt, "terms", property(watched_terms))
     monkeypatch.setattr(HeckeAlgebra, "_pack", no_pack)
+    monkeypatch.setattr(hecke, "_repack", no_pack)
     for w in (H.system.normal_form((1, 2, 3)), H.system.longest_element()):
         row = list(H.diagonal_row(w))
         assert len(row) == 1152
@@ -575,6 +576,24 @@ def _packed_wider(H, h, extra):
     width = hecke._width(norm) + extra
     longest = max((len(x.word) for x in h.terms), default=0)
     return HeckeElt._from_packed(H, H._pack(h, width), width, norm, longest)
+
+
+def test_widening_an_operand_decodes_nothing():
+    # a product or a sum wider than an operand re-evaluates the operand's
+    # packed ints at the new width; no terms dict is built on the operand
+    H = algebra("B3")
+    el = H.system.elements
+    a = H.product(HeckeElt(H, {el[3]: IntPoly((1, -2)), el[7]: IntPoly((0, 3))}),
+                  H.t_basis(el[5]))
+    ref = HeckeElt(H, dict(H.product(a, H.t_basis(el[0])).terms))
+    x = H.t_basis(H.system.normal_form([1, 2, 3]))
+    assert len(x._packed) * x._longest <= len(a._packed) * a._longest  # a is kept
+    prod = H.product(a, x)
+    assert prod._width > a._width and a._terms is None
+    assert prod == product_fixed_direction(H, ref, x, right=True)
+    total = a + prod
+    assert total._width > a._width and a._terms is None
+    assert total == ref + prod
 
 
 @given(st.data())
@@ -726,16 +745,17 @@ def test_an_element_built_from_terms_is_packed_at_its_exact_norm():
     assert not zero and zero._packed == {} and zero.values_at(1) == {}
 
 
-@pytest.mark.parametrize("bad", [IntPoly((0.5,)), IntPoly((1, 2.0)), (1, 2), 3])
+@pytest.mark.parametrize("bad", [(0.5,), (1, 2.0), (1, 2), 3])
 def test_non_integer_coefficients_are_refused(bad):
-    # a float would die inside the width computation or ride along in a sum
+    # a float would die inside the width computation or ride along in a sum:
+    # a coefficient must be an IntPoly, and an IntPoly of floats is never built
     H = algebra("A1")
     s = H.system.normal_form([1])
     with pytest.raises(TypeError, match=r"coefficient .* is not an IntPoly of integers"):
         HeckeElt(H, {s: bad})
-    if isinstance(bad, IntPoly):
-        with pytest.raises(TypeError, match="is not an IntPoly of integers"):
-            bad * H.t_basis(s)
+    if isinstance(bad, tuple) and not all(isinstance(c, int) for c in bad):
+        with pytest.raises(TypeError, match="is not an int"):
+            IntPoly(bad) * H.t_basis(s)
 
 
 _SCALARS = st.one_of(

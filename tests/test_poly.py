@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from heckeflag.poly import MINUS_INFINITY, ONE, Q, Q_MINUS_ONE, ZERO, IntPoly
@@ -92,3 +93,14 @@ def test_ops_stay_canonical(a, b):
 def test_overflow_free():
     big = IntPoly((10**50, 1))
     assert (big * big)[0] == 10**100
+
+
+def test_non_integer_coefficients_are_refused():
+    # the coefficient ring is Z: a float or a string is refused when the
+    # polynomial is built, by name, and never computed with
+    with pytest.raises(TypeError, match="coefficient 0.5 is not an int"):
+        IntPoly((0.5, 1)) * IntPoly((2,))
+    with pytest.raises(TypeError, match="coefficient 'a' is not an int"):
+        IntPoly(("a",))
+    with pytest.raises(TypeError, match="coefficient 1.5 is not an int"):
+        IntPoly((1,)) + (0.5,)
