@@ -16,9 +16,10 @@ so a fresh checkout self-verifies:
 
 Each command computes its data once: a JSON document, CSV rows and a table.
 ``run`` renders the chosen --format of it and turns any ValueError into exit
-1.  Repeated --n/--q pairs run the flags suite on each space in order; its CSV
-has one header and a row n,q,w,z,observed,predicted,match per count, with
-z = "total" for the whole-space counts.  In process, ``run`` returns what
+1; -h/--help is an ok result whose payload is the help text.  Repeated
+--n/--q pairs run the flags suite on each space in order; its CSV has one
+header and a row n,q,w,z,observed,predicted,match per count, with z = "total"
+for the whole-space counts.  In process, ``run`` returns what
 ``main`` prints:
 
     >>> print(run(["trace", "--type", "A1", "--w", "1", "--at", "-1"]).payload, end="")
@@ -192,11 +193,20 @@ _COMMANDS = {"nconst": _nconst, "eset": _eset, "trace": _trace, "verify": _verif
 # argument parsing and rendering
 
 
+class _HelpRequested(Exception):
+    """-h/--help was given; carries the help text."""
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors, which collides with the
     # verification_failed exit code; raise instead and map to 1.
     def error(self, message):
         raise ValueError(message)
+
+    # argparse prints the help and exits with code 0; raise the text instead,
+    # and run returns it as an ok payload
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _Parser:
@@ -249,6 +259,8 @@ def run(argv: list[str] | None = None) -> CommandResult:
             payload = table()
     except ValueError as exc:
         return CommandResult("error", diagnostics=[str(exc)])
+    except _HelpRequested as help_text:
+        return CommandResult("ok", str(help_text))
     if mismatches:
         return CommandResult("verification_failed", payload,
                              [f"{mismatches} verification mismatches"])

@@ -35,9 +35,13 @@ Results decode lazily: ``coefficient(w)`` decodes one entry, ``terms``
 was built from terms, and ``values_at`` reads every term at q = 1 or q = -1
 without decoding.  ``row_products`` alone forms T_w T_z for all z, each as
 (T_w T_z') T_s with z' the prefix of z's canonical word: one generator step
-per z.  ``diagonal_row`` (under ``e_set`` and ``regular_trace``) decodes one
-coefficient of each, and the verify suites read their checks from the same
-rows.
+per z, and a product by a unit T_s whose other factor's width already holds
+the tripled norm is that one step and nothing else.  ``diagonal_row`` (under
+``e_set``) decodes one coefficient of each, and the verify suites read their
+checks from the same rows.  ``regular_trace`` decodes one polynomial per
+trace: it adds the packed diagonal entries p_z(2^B) as ints, which is
+(sum p_z)(2^B), with T_w packed at the width of |W| 3^l(w0), the bound on
+sum |p_z|_1 and so on every coefficient of the sum.
 
     >>> from heckeflag import build_system
     >>> H = HeckeAlgebra(build_system("A1"))
@@ -273,7 +277,9 @@ class HeckeAlgebra:
         The kept factor's packed dict is used as it is when its width covers
         the product's bound, and a packed expanded factor is read without
         decoding: a coefficient of 1 is 1 at every width, and any other is
-        re-evaluated only when its width is not the product's.
+        re-evaluated only when its width is not the product's.  Expanding a
+        unit T_s against a kept factor whose width holds the tripled norm is
+        one generator step of the kept dict, returned as it is.
         """
         if a.algebra is not self or b.algebra is not self:
             self._check_same(a)
@@ -284,14 +290,25 @@ class HeckeAlgebra:
             kept, expanded, right = a, b, True
         else:
             kept, expanded, right = b, a, False
-        norm = a._norm * b._norm * 3 ** expanded._longest
-        # never narrower than either factor, so a chain of products keeps one
-        # width and packs nothing
-        width = max(_width(norm), expanded._width, kept._width)
-        start = kept._at_width(width)
         system = self.system
         cols, elements = (system._rmult if right else system._lmult), system._elements
         coeffs, coeff_width = expanded._packed, expanded._width
+        if expanded._longest == 1 and len(coeffs) == 1:
+            # a unit T_s on either side of a kept factor whose width already
+            # holds the tripled norm: one generator step of the kept packed
+            # dict, with the dict, width and bounds the general path gives
+            [(k, c)] = coeffs.items()
+            norm, width, word = a._norm * b._norm * 3, kept._width, elements[k].word
+            if (c == 1 and len(word) == 1 and norm.bit_length() < width
+                    and coeff_width <= width):
+                return HeckeElt._from_packed(
+                    self, _generator_step(kept._packed, cols[word[0] - 1], width),
+                    width, norm, a._longest + b._longest)
+        norm = a._norm * b._norm * 3 ** expanded._longest
+        # never narrower than either factor, so a chain of products keeps one
+        # width and packs nothing
+        width = max(_width(norm), coeff_width, kept._width)
+        start = kept._at_width(width)
         total: dict = {}
         for k, c in coeffs.items():
             if not c:
@@ -329,6 +346,13 @@ class HeckeAlgebra:
         T_w starts packed wide enough for the longest candidate, so every step
         reuses its parent's packed dict.
         """
+        return self._rows(w, max_len, 1)
+
+    def _rows(self, w: Element, max_len: int | None, summands: int):
+        """``row_products`` with T_w packed wide enough for a sum of
+        ``summands`` products of the row: every product of the walk holds
+        its coefficients at the width of ``summands * 3**top`` (top the
+        longest candidate), since T_w T_z has l1 norm at most 3^l(z)."""
         system = self.system
         system._check_member(w)
         if system.is_finite:
@@ -348,7 +372,8 @@ class HeckeAlgebra:
         # letter order and the walk is a preorder of the word tree
         children = [(col, g + 1, self.t_basis(s)) for g, (col, s) in
                     enumerate(zip(system._rmult, system.generators))][::-1]
-        tw = HeckeElt._from_packed(self, {w.index: 1}, _width(3**top), 1, len(w.word))
+        tw = HeckeElt._from_packed(
+            self, {w.index: 1}, _width(summands * 3**top), 1, len(w.word))
         # (x, T_w T_parent, T_s) with x = parent * s; an entry waits until its
         # parent is visited, and all waiting entries hang off the current path,
         # so one product per length is alive
@@ -374,20 +399,24 @@ class HeckeAlgebra:
         return row
 
     def regular_trace(self, w: Element) -> IntPoly:
-        """Trace of left multiplication by T_w on the T-basis.
+        """Trace of left multiplication by T_w on the T-basis: the sum of the
+        diagonal entries N(w, z, z) over the whole group; finite systems only.
 
-        Sums the diagonal entries N(w, z, z) of ``row_products`` over the
-        whole group; finite systems only.  Cost is |W| products of one
-        generator step each.
+        One walk of the row, |W| products of one generator step each, and one
+        decode: the packed diagonal entries are added as ints.  Each is
+        v_z = p_z(2^B) at the walk's width B, so their sum is (sum p_z)(2^B),
+        and every coefficient of sum p_z is at most sum |p_z|_1 <=
+        |W| 3^l(w0) < 2^(B-1), the bound T_w is packed for; so the one sum
+        decodes to the trace.
         """
-        if not self.system.is_finite:
+        system = self.system
+        if not system.is_finite:
             raise ValueError("regular trace needs a finite basis")
-        total = ZERO
-        for z, h in self.row_products(w):
-            n = h.coefficient(z)
-            if n:
-                total += n
-        return total
+        total = 0
+        for z, h in self._rows(w, None, len(system._elements)):
+            total += h._packed.get(z.index, 0)
+        # every product of the walk is at T_w's width (``_rows``)
+        return _decode(total, h._width)
 
 
 def _generator_step(terms: dict, col, width: int) -> dict:

@@ -620,6 +620,22 @@ def test_main_writes_diagnostics_to_stderr(capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: heckeflag [-h]"),
+    (["-h"], "usage: heckeflag [-h]"),
+    (["trace", "--help"], "usage: heckeflag trace [-h] --type TYPE"),
+    (["verify", "-h"], "usage: heckeflag verify [-h]"),
+])
+def test_help_is_an_ok_payload(argv, usage, capsys):
+    result = cli.run(argv)
+    assert result.status == "ok" and result.diagnostics == []
+    assert result.payload.startswith(usage) and "--format" in result.payload
+    assert capsys.readouterr() == ("", "")  # run prints nothing itself
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == result.payload and err == ""
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "heckeflag", "trace", "--type", "A1", "--w", "1",

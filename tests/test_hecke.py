@@ -442,6 +442,44 @@ def test_e_set_decodes_one_coefficient_per_product(monkeypatch):
     assert report.members
 
 
+def _carried(h):
+    return h._packed, h._width, h._norm, h._longest
+
+
+def test_generator_step_case_matches_the_general_path(monkeypatch):
+    # T_s times a kept factor whose width holds the tripled norm is one
+    # generator step of its packed dict, and carries what the general path
+    # carries for the same element; the general path is reached with T_s
+    # stored beside a zero key (two keys, the same expansion direction).  h at
+    # its own width and 10**30 * h do not hold the tripled norm, so their
+    # products widen through _at_width
+    H = algebra("B3")
+    system = H.system
+    widened = []
+    at_width = HeckeElt._at_width
+
+    def watched_at_width(self, width):
+        widened.append(width)
+        return at_width(self, width)
+
+    monkeypatch.setattr(HeckeElt, "_at_width", watched_at_width)
+    h = _general(H, system.elements, [(i, (i % 5 - 2, 1, -(i % 3))) for i in range(1, 48, 5)])
+    for kept, holds in ((_packed_wider(H, h, 2), True), (h, False), (10**30 * h, False)):
+        assert (kept._width >= hecke._width(3 * kept._norm)) is holds
+        for gen in (1, 2, 3):
+            s = system.normal_form([gen])
+            unit = H.t_basis(s)
+            padded = HeckeElt._from_packed(H, {s.index: 1, system.identity.index: 0}, 2, 1, 1)
+            # (kept, T_s) is a right step, (T_s, kept) a left one
+            for order, mult in ((1, system.right_mult), (-1, system.left_mult)):
+                general = H.product(*(kept, padded)[::order])
+                widened.clear()
+                got = H.product(*(kept, unit)[::order])
+                assert widened == ([] if holds else [general._width])
+                assert _carried(got) == _carried(general)
+                assert got.terms == _nonzero(reference_step(kept.terms, gen, mult))
+
+
 # ---------------------------------------------------------------------------
 # the diagonal row under e_set and regular_trace
 
@@ -459,6 +497,39 @@ def test_diagonal_row_reads_one_product_per_candidate():
         H.diagonal_row(H.system.identity, 3)
     with pytest.raises(ValueError, match="only applies to infinite"):
         next(H.row_products(H.system.identity, 3))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4", "I2(5)"])
+def test_trace_is_the_sum_of_the_decoded_row(label):
+    # the trace adds packed diagonal entries and decodes once; the row
+    # decodes each entry on its own
+    H = algebra(label)
+    for w in H.system.elements:
+        assert H.regular_trace(w) == sum((n for _, n in H.diagonal_row(w)), ZERO)
+
+
+def test_regular_trace_makes_one_product_per_element_and_one_decode(monkeypatch):
+    # the one decode reads the summed diagonal at the width of |W| 3^l(w0),
+    # which holds every coefficient of the sum of |W| entries
+    H = algebra("B3")
+    counts = {"products": 0}
+    widths = []
+    product, decode = HeckeAlgebra.product, hecke._decode
+
+    def counted_product(self, a, b):
+        counts["products"] += 1
+        return product(self, a, b)
+
+    def counted_decode(value, width):
+        widths.append(width)
+        return decode(value, width)
+
+    monkeypatch.setattr(HeckeAlgebra, "product", counted_product)
+    monkeypatch.setattr(hecke, "_decode", counted_decode)
+    trace = H.regular_trace(H.system.normal_form([1, 2]))
+    assert counts == {"products": 48}
+    assert widths == [hecke._width(48 * 3**9)]
+    assert trace(1) == 0
 
 
 def test_diagonal_row_infinite_needs_a_bound():
