@@ -159,6 +159,8 @@ def _verify(args):
     """A verification suite: --type is the hecke suite's type, the --n/--q
     pairs the flags suite's spaces, in order; a mismatch sets exit code 2."""
     suite = args.suite if args.suite is not None else args.suite_pos
+    if args.suite_pos not in (None, suite):
+        raise ValueError(f"verify got two suites: {args.suite_pos} and --suite {suite}")
     if suite is None:
         raise ValueError("verify needs a suite: hecke|dihedral|flags|all")
     ns, qs = args.n or [2], args.q or [3]

@@ -66,6 +66,7 @@ __all__ = [
     "Element",
     "ConjugacyClass",
     "MAX_FINITE_ORDER",
+    "MAX_INFINITE_LEN",
     "MAX_WORD_LETTERS",
     "build_system",
 ]
@@ -238,15 +239,16 @@ def _alt_right(i: int, g: int, top: int | None = None) -> int:
     return i + 2 if top is None or i + 2 < top else top
 
 
-# I2(inf) walks (normal_form, multiply) store the steps of the elements of
-# length at most this, which holds every element a product of up to
-# hecke.ROW_MAX_LEN letters reaches, and compute the steps of longer ones
-# without storing them, so a long word leaves no table entry per prefix
-_WALK_STORED_LEN = 500
+# the longest length an I2(inf) system lists (elements_up_to), a Hecke row
+# scans and an nconst product reaches (re-exported as hecke.ROW_MAX_LEN); its
+# walks (normal_form, multiply) store the steps of the elements up to this
+# length and compute the steps of longer ones without storing them, so a long
+# word leaves no table entry per prefix
+MAX_INFINITE_LEN = 500
 
 
 # ---------------------------------------------------------------------------
-# Cartan data and known group orders
+# degrees and Cartan data
 
 
 def _path_cartan(n: int) -> list[list[int]]:
@@ -256,59 +258,36 @@ def _path_cartan(n: int) -> list[list[int]]:
     return c
 
 
-def _abcd_order(family: str, n: int) -> tuple[int | None, int | None]:
-    """(|W|, l(w0)) of A_n, B_n/C_n or D_n from the degrees d_i of W: |W| is
-    their product, (n + 1)!, 2^n n! or 2^(n-1) n!, and l(w0) = |Phi+| the sum
-    of the d_i - 1.
-
-    Both are built up one degree at a time and abandoned (None, None) as soon
-    as |W| passes MAX_FINITE_ORDER, so a huge rank is refused after a few
-    steps.
-    """
-    if family == "A":
-        degrees = range(2, n + 2)
-    elif family == "D":
-        degrees = itertools.chain((n,), range(2, 2 * n - 1, 2))
-    else:
-        degrees = range(2, 2 * n + 1, 2)
-    order, longest = 1, 0
-    for d in degrees:
-        order *= d
-        longest += d - 1
-        if order > MAX_FINITE_ORDER:
-            return None, None
-    return order, longest
+# the degrees d_i of each finite family, I2(n) included: |W| is their product
+# and l(w0) = |Phi+| the sum of the d_i - 1 (A_n: (n + 1)!, B_n/C_n: 2^n n!,
+# D_n: 2^(n-1) n!); ranges, so a huge rank lists nothing
+_DEGREES = {
+    "A": lambda n: range(2, n + 2),
+    "B": lambda n: range(2, 2 * n + 1, 2),
+    "C": lambda n: range(2, 2 * n + 1, 2),
+    "D": lambda n: itertools.chain((n,), range(2, 2 * n - 1, 2)),
+    "G": lambda n: (2, 6),
+    "F": lambda n: (2, 6, 8, 12),
+    "I": lambda m: (2, m),
+}
 
 
-def _cartan_and_order(family: str, n: int) -> tuple[list[list[int]], int]:
-    if family == "A":
-        return _path_cartan(n), _abcd_order(family, n)[0]
-    if family in ("B", "C"):
-        c = _path_cartan(n)
-        if n >= 2:
-            # bond 4 at the high-index end; B and C differ only by which of
-            # the two roots is short, which transposes the pair of entries
-            if family == "B":
-                c[n - 2][n - 1], c[n - 1][n - 2] = -1, -2
-            else:
-                c[n - 2][n - 1], c[n - 1][n - 2] = -2, -1
-        return c, _abcd_order(family, n)[0]
-    if family == "D":
-        c = _path_cartan(n - 1)
-        for row in c:
-            row.append(0)
-        c.append([0] * n)
-        c[n - 1][n - 1] = 2
-        if n >= 3:
-            c[n - 3][n - 1] = c[n - 1][n - 3] = -1  # fork at the high end
-        return c, _abcd_order(family, n)[0]
-    if family == "G2":
-        return [[2, -1], [-3, 2]], 12
-    if family == "F4":
-        c = _path_cartan(4)
+def _cartan(family: str, n: int) -> list[list[int]]:
+    if family == "G":
+        return [[2, -1], [-3, 2]]
+    c = _path_cartan(n)
+    if family == "F":
         c[1][2], c[2][1] = -2, -1
-        return c, 1152
-    raise ValueError(f"unknown family {family!r}")
+    elif family in ("B", "C") and n >= 2:
+        # bond 4 at the high-index end; B and C differ only by which of the
+        # two roots is short, which transposes the pair of entries
+        c[n - 2][n - 1], c[n - 1][n - 2] = (-1, -2) if family == "B" else (-2, -1)
+    elif family == "D":
+        # fork at the high end: node n is bonded to n - 2, not to n - 1
+        c[n - 2][n - 1] = c[n - 1][n - 2] = 0
+        if n >= 3:
+            c[n - 3][n - 1] = c[n - 1][n - 3] = -1
+    return c
 
 
 def _positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -332,13 +311,9 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], .
 def _coxeter_matrix_from_cartan(cartan: Sequence[Sequence[int]]) -> CoxeterMatrix:
     bond = {0: 2, 1: 3, 2: 4, 3: 6}
     n = len(cartan)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(1 if i == j else bond[cartan[i][j] * cartan[j][i]])
-        rows.append(tuple(row))
-    return CoxeterMatrix(tuple(rows))
+    return CoxeterMatrix(tuple(
+        tuple(1 if i == j else bond[cartan[i][j] * cartan[j][i]] for j in range(n))
+        for i in range(n)))
 
 
 def _dihedral_matrix(m: int | None) -> CoxeterMatrix:
@@ -364,7 +339,7 @@ class CoxeterSystem:
 
     A finite system is immutable after construction.  I2(inf) fills its
     tables on first use (a word walk stores the entries of elements of
-    length at most ``_WALK_STORED_LEN`` only); an entry, once stored, never
+    length at most ``MAX_INFINITE_LEN`` only); an entry, once stored, never
     changes, and racing threads store and read back one value, so instances
     of either kind are safe to share across threads.
     """
@@ -460,7 +435,7 @@ class CoxeterSystem:
         self._lmult = [table(lambda i, col=col: inv[col[inv[i]]]) for col in rmult]
         elements = table(lambda i: Element(self, _alt_word(i), i))
         self._elements = elements if m is None else tuple(elements)
-        self._walk_stored = _alt_index(2, _WALK_STORED_LEN) + 1 if m is None else 2 * m
+        self._walk_stored = _alt_index(2, MAX_INFINITE_LEN) + 1 if m is None else 2 * m
 
     def _check_generator(self, gen: int):
         if not 1 <= gen <= self.rank:
@@ -494,9 +469,14 @@ class CoxeterSystem:
     def elements_up_to(self, max_len: int) -> list[Element]:
         """Elements of length <= max_len, same ordering as ``elements``: an
         index prefix, as index order is length order (I2(inf) has two
-        elements of every length >= 1)."""
+        elements of every length >= 1, so it takes max_len <=
+        MAX_INFINITE_LEN)."""
         if self.is_finite:
             end = bisect.bisect_right(self._lengths, max_len)
+        elif max_len > MAX_INFINITE_LEN:
+            raise ValueError(
+                f"{self.label} lists elements up to length {MAX_INFINITE_LEN}, "
+                f"got {max_len}")
         else:
             end = max(2 * max_len + 1, 0)
         return [self._elements[i] for i in range(end)]
@@ -657,8 +637,9 @@ class CoxeterSystem:
 MAX_FINITE_ORDER = 50_000
 MAX_WORD_LETTERS = 1_000_000
 
-_ABCD_RE = re.compile(r"^([ABCD])(\d+)$")
-_I2_RE = re.compile(r"^I2\((inf|\d+)\)$")
+# A<n>, B<n>, C<n>, D<n>, G2 and F4 as family and n; I2(<m>) as m (or inf)
+# in the third group
+_SPEC_RE = re.compile(r"([ABCD]|G(?=2$)|F(?=4$))(\d+)|I2\((inf|\d+)\)")
 
 
 @lru_cache(maxsize=None)
@@ -666,50 +647,56 @@ def build_system(spec: str) -> CoxeterSystem:
     """Build a Coxeter system from a type string.
 
     Recognized: ``A<n>`` (n >= 1), ``B<n>``/``C<n>`` (n >= 1), ``D<n>``
-    (n >= 2), ``G2``, ``F4``, ``I2(<m>)`` (m >= 2), ``I2(inf)``.  Finite
-    systems are built eagerly, after their order and the letter count of
-    their canonical words pass the guards, and a root system's element count
-    is checked against the known group order.  Results are cached, so equal
-    type strings share one system object.
+    (n >= 2), ``G2``, ``F4``, ``I2(<m>)`` (m >= 2), ``I2(inf)``.  A finite
+    system is built eagerly once its order and the letter count of its
+    canonical words, both from its degrees, pass the guards, and a root
+    system's element count is checked against that order.  Results are
+    cached, so equal type strings share one system object.
     """
     spec = spec.strip()
     if spec in ("H3", "H4"):
         raise ValueError(
             f"unsupported type {spec}: needs irrational root coordinates"
         )
-    if spec in ("G2", "F4"):
-        cartan, order = _cartan_and_order(spec, 0)
-        return _finish_root_system(spec, cartan, order)
-    m = _ABCD_RE.match(spec)
-    if m:
-        family, n = m.group(1), int(m.group(2))
-        if n < 1 or (family == "D" and n < 2):
-            raise ValueError(f"malformed type spec {spec!r}: rank too small")
-        # the closed-form order first: the Cartan matrix alone has n^2 entries
-        _check_order(spec, *_abcd_order(family, n))
-        cartan, order = _cartan_and_order(family, n)
-        return _finish_root_system(spec, cartan, order)
-    m = _I2_RE.match(spec)
-    if m:
-        arg = m.group(1)
-        if arg == "inf":
-            return CoxeterSystem("I2(inf)", _dihedral_matrix(None), None)
-        bound = int(arg)
-        if bound < 2:
-            raise ValueError(f"malformed type spec {spec!r}: need m >= 2")
-        _check_order(spec, 2 * bound, bound)
-        return CoxeterSystem(spec, _dihedral_matrix(bound), None)
-    raise ValueError(f"malformed type spec {spec!r}")
+    m = _SPEC_RE.fullmatch(spec)
+    if not m:
+        raise ValueError(f"malformed type spec {spec!r}")
+    family, arg = m.group(1) or "I", m.group(2) or m.group(3)
+    if arg == "inf":
+        return CoxeterSystem("I2(inf)", _dihedral_matrix(None), None)
+    n = int(arg)
+    if family == "I" and n < 2:
+        raise ValueError(f"malformed type spec {spec!r}: need m >= 2")
+    if n < 1 or (family == "D" and n < 2):
+        raise ValueError(f"malformed type spec {spec!r}: rank too small")
+    # the order first: the Cartan matrix alone has n^2 entries
+    order = _check_order(spec, _DEGREES[family](n))
+    if family == "I":
+        return CoxeterSystem(spec, _dihedral_matrix(n), None)
+    cartan = _cartan(family, n)
+    system = CoxeterSystem(spec, _coxeter_matrix_from_cartan(cartan), _RootModel(cartan))
+    if len(system._elements) != order:
+        raise AssertionError(
+            f"{spec}: enumerated {len(system._elements)} elements, expected {order}")
+    return system
 
 
-def _check_order(spec: str, order: int | None, longest: int | None):
-    # None: the order is only known to pass the cap, and l(w0) is not known
-    if order is None or order > MAX_FINITE_ORDER:
-        count = f"more than {MAX_FINITE_ORDER}" if order is None else order
-        raise ValueError(
-            f"{spec} has {count} elements; eager enumeration targets "
-            f"desk-scale groups (at most {MAX_FINITE_ORDER} elements)"
-        )
+def _check_order(spec: str, degrees: Iterable[int]) -> int:
+    """|W|, the product of the degrees, once it and the letters of all
+    canonical words pass the guards.  The product is abandoned as soon as it
+    passes MAX_FINITE_ORDER, so a huge rank is refused after a few steps; the
+    count is exact when the last degree was reached."""
+    order, longest = 1, 0
+    degrees = iter(degrees)
+    for d in degrees:
+        order *= d
+        longest += d - 1
+        if order > MAX_FINITE_ORDER:
+            count = f"more than {MAX_FINITE_ORDER}" if next(degrees, None) else order
+            raise ValueError(
+                f"{spec} has {count} elements; eager enumeration targets "
+                f"desk-scale groups (at most {MAX_FINITE_ORDER} elements)"
+            )
     # w -> w w0 pairs length l with l(w0) - l, so the canonical words hold
     # |W| l(w0) / 2 letters in all (I2(m): m^2)
     letters = order * longest // 2
@@ -719,13 +706,4 @@ def _check_order(spec: str, order: int | None, longest: int | None):
             f"letters; eager enumeration targets desk-scale groups (at most "
             f"{MAX_WORD_LETTERS} letters)"
         )
-
-
-def _finish_root_system(label, cartan, order) -> CoxeterSystem:
-    matrix = _coxeter_matrix_from_cartan(cartan)
-    sys_ = CoxeterSystem(label, matrix, _RootModel(cartan))
-    if len(sys_._elements) != order:
-        raise AssertionError(
-            f"{label}: enumerated {len(sys_._elements)} elements, expected {order}"
-        )
-    return sys_
+    return order

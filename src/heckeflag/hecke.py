@@ -36,12 +36,13 @@ was built from terms, and ``values_at`` reads every term at q = 1 or q = -1
 without decoding.  ``row_products`` alone forms T_w T_z for all z, each as
 (T_w T_z') T_s with z' the prefix of z's canonical word: one generator step
 per z, and a product by a unit T_s whose other factor's width already holds
-the tripled norm is that one step and nothing else.  ``diagonal_row`` (under
-``e_set``) decodes one coefficient of each, and the verify suites read their
-checks from the same rows.  ``regular_trace`` decodes one polynomial per
-trace: it adds the packed diagonal entries p_z(2^B) as ints, which is
-(sum p_z)(2^B), with T_w packed at the width of |W| 3^l(w0), the bound on
-sum |p_z|_1 and so on every coefficient of the sum.
+the tripled norm is that one step and nothing else.  On a finite system it
+packs T_w at the width of |W| 3^l(w0), which bounds sum |p_z|_1 over a whole
+row and so every coefficient of a row's sum.  ``diagonal_row`` (under
+``e_set``) decodes one coefficient of each product, the verify suites read
+their checks from the same rows, and ``regular_trace`` decodes one polynomial
+per trace: it adds the packed diagonal entries p_z(2^B) as ints, which is
+(sum p_z)(2^B).
 
     >>> from heckeflag import build_system
     >>> H = HeckeAlgebra(build_system("A1"))
@@ -59,17 +60,18 @@ build them build equal dicts, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from .coxeter import CoxeterSystem, Element
+from .coxeter import MAX_INFINITE_LEN, CoxeterSystem, Element
 from .poly import ZERO, IntPoly
 
 __all__ = ["HeckeAlgebra", "HeckeElt", "ROW_MAX_LEN"]
 
 # longest max_len a diagonal row of an infinite system accepts (and longest
-# l(w) + l(wp) the nconst command multiplies out there): for a w at
-# least max_len long the last products hold about 2 max_len terms of degree up
-# to max_len in digits about 1.6 max_len bits wide, so work grows like
-# max_len^3 (at 500 about 0.6 s and 45 MB on a 2-vCPU x86 host)
-ROW_MAX_LEN = 500
+# l(w) + l(wp) the nconst command multiplies out there), the cap of
+# coxeter's I2(inf) walks: for a w at least max_len long the last products
+# hold about 2 max_len terms of degree up to max_len in digits about 1.6
+# max_len bits wide, so work grows like max_len^3 (at 500 about 0.6 s and
+# 45 MB on a 2-vCPU x86 host)
+ROW_MAX_LEN = MAX_INFINITE_LEN
 
 
 class HeckeElt:
@@ -343,22 +345,19 @@ class HeckeAlgebra:
         letter s) times s, one length up, so T_w T_z = (T_w T_z') T_s.  The
         walk visits this prefix tree depth first: one product and one
         generator step per z, with one product per length alive at a time.
-        T_w starts packed wide enough for the longest candidate, so every step
-        reuses its parent's packed dict.
+        T_w T_z has l1 norm at most 3^l(z), so T_w starts packed at the width
+        of 3^max_len on I2(inf) and of |W| 3^l(w0) on a finite system, which
+        also holds a sum of the whole row (``regular_trace``); every product
+        of the walk is at that width, and every step reuses its parent's
+        packed dict.
         """
-        return self._rows(w, max_len, 1)
-
-    def _rows(self, w: Element, max_len: int | None, summands: int):
-        """``row_products`` with T_w packed wide enough for a sum of
-        ``summands`` products of the row: every product of the walk holds
-        its coefficients at the width of ``summands * 3**top`` (top the
-        longest candidate), since T_w T_z has l1 norm at most 3^l(z)."""
         system = self.system
         system._check_member(w)
         if system.is_finite:
             if max_len is not None:
                 raise ValueError("max_len only applies to infinite systems")
             top = system.longest_element().length
+            bound = len(system._elements) * 3**top
         else:
             if max_len is None:
                 raise ValueError("max_len is required for infinite systems")
@@ -366,14 +365,14 @@ class HeckeAlgebra:
                 raise ValueError(
                     f"max_len must lie in 0..{ROW_MAX_LEN}, got {max_len}")
             top = max_len
+            bound = 3**top
         lengths, last, elements = system._lengths, system._last, system._elements
         # (column, letter, T_s) of every generator s, last letter first: the
         # children of x go on the stack in that order, so they come off in
         # letter order and the walk is a preorder of the word tree
         children = [(col, g + 1, self.t_basis(s)) for g, (col, s) in
                     enumerate(zip(system._rmult, system.generators))][::-1]
-        tw = HeckeElt._from_packed(
-            self, {w.index: 1}, _width(summands * 3**top), 1, len(w.word))
+        tw = HeckeElt._from_packed(self, {w.index: 1}, _width(bound), 1, len(w.word))
         # (x, T_w T_parent, T_s) with x = parent * s; an entry waits until its
         # parent is visited, and all waiting entries hang off the current path,
         # so one product per length is alive
@@ -413,9 +412,9 @@ class HeckeAlgebra:
         if not system.is_finite:
             raise ValueError("regular trace needs a finite basis")
         total = 0
-        for z, h in self._rows(w, None, len(system._elements)):
+        for z, h in self.row_products(w):
             total += h._packed.get(z.index, 0)
-        # every product of the walk is at T_w's width (``_rows``)
+        # every product of the walk is at T_w's width (``row_products``)
         return _decode(total, h._width)
 
 

@@ -5,9 +5,11 @@ covers the real entry point."""
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
 from math import isqrt
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -174,6 +176,15 @@ def test_verify_flags_ok():
 def test_verify_suite_flag_spelling():
     result = cli.run(["verify", "--suite", "dihedral"])
     assert result.status == "ok"
+
+
+def test_verify_refuses_two_different_suites():
+    result = cli.run(["verify", "hecke", "--suite", "dihedral"])
+    assert result.exit_code == 1 and not result.payload
+    assert result.diagnostics == ["verify got two suites: hecke and --suite dihedral"]
+    # the same suite named twice is one suite
+    assert cli.run(["verify", "dihedral", "--suite", "dihedral"]).payload == \
+        cli.run(["verify", "dihedral"]).payload
 
 
 def test_verify_unknown_suite():
@@ -479,16 +490,16 @@ def _no_huge_cartan(family, n):
     # every A-D rank from 8 up is past the size guard (A8 has 362880
     # elements), so it must be refused before its Cartan matrix is built
     assert n < 8
-    return _cartan_and_order(family, n)
+    return _cartan(family, n)
 
 
 _fill_dihedral = CoxeterSystem._fill_dihedral
-_cartan_and_order = coxeter._cartan_and_order
+_cartan = coxeter._cartan
 
 
 def _assert_exit_contract(argv):
     with mock.patch.object(CoxeterSystem, "_fill_dihedral", _no_huge_dihedral_fill), \
-            mock.patch.object(coxeter, "_cartan_and_order", _no_huge_cartan):
+            mock.patch.object(coxeter, "_cartan", _no_huge_cartan):
         result = cli.run(argv)
     assert result.exit_code in (0, 1)
     if result.exit_code == 1:
@@ -512,7 +523,7 @@ def test_nconst_refuses_huge_rank(monkeypatch, spec):
     def no_cartan(family, n):
         raise AssertionError("Cartan matrix built")
 
-    monkeypatch.setattr(coxeter, "_cartan_and_order", no_cartan)
+    monkeypatch.setattr(coxeter, "_cartan", no_cartan)
     result = cli.run(["nconst", "--type", spec])
     assert result.exit_code == 1
     assert f"{spec} has more than {MAX_FINITE_ORDER} elements" in result.diagnostics[0]
@@ -644,3 +655,22 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == -2
+
+
+def _readme_commands():
+    # every heckeflag line of the README's "Command line" block, as argv
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("heckeflag ")]
+
+
+def test_readme_lists_commands():
+    assert len(_readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv):
+    result = cli.run(argv)
+    assert result.exit_code == 0, result.diagnostics
+    assert result.payload

@@ -3,6 +3,7 @@ model of the symmetric and dihedral groups, an exhaustive all-reduced-words
 subword test for Bruhat order, and root-counting for lengths."""
 
 import itertools
+import math
 import tracemalloc
 
 import pytest
@@ -151,12 +152,17 @@ def test_root_system_size_guard(monkeypatch):
     def no_cartan(family, n):
         raise Built
 
-    monkeypatch.setattr(coxeter, "_cartan_and_order", no_cartan)
-    for spec in ("A100000", "D100000", "C10000000000", "A8", "B7", "D7"):
+    monkeypatch.setattr(coxeter, "_cartan", no_cartan)
+    for spec in ("A100000", "D100000", "C10000000000"):
         with pytest.raises(ValueError, match=f"{spec} has more than {MAX_FINITE_ORDER} elements"):
             build_system(spec)
-    # the largest allowed ranks get as far as the Cartan matrix (past the cache)
-    for spec in ("A7", "B6", "C6", "D6"):
+    # the count is exact once the last degree is reached
+    for spec, order in (("A8", 362880), ("B7", 645120), ("D7", 322560)):
+        with pytest.raises(ValueError, match=f"{spec} has {order} elements;"):
+            build_system(spec)
+    # the largest allowed ranks, and G2 and F4, get as far as the Cartan
+    # matrix (past the cache)
+    for spec in ("A7", "B6", "C6", "D6", "G2", "F4"):
         with pytest.raises(Built):
             build_system.__wrapped__(spec)
 
@@ -329,6 +335,25 @@ def test_enumerate_infinite_bounded():
     assert len(got) == 7
 
 
+def test_elements_up_to_infinite_refuses_past_the_cap():
+    # refused on the predicted length alone, before an element is listed
+    class Listed(Exception):
+        pass
+
+    class NoListing:
+        def __getitem__(self, i):
+            raise Listed
+
+    system = build_system.__wrapped__("I2(inf)")
+    system._elements = NoListing()
+    cap = coxeter.MAX_INFINITE_LEN
+    for max_len in (cap + 1, 10**12):
+        with pytest.raises(ValueError, match=f"up to length {cap}, got {max_len}"):
+            system.elements_up_to(max_len)
+    with pytest.raises(Listed):
+        system.elements_up_to(cap)
+
+
 def test_elements_up_to_finite():
     a3 = build_system("A3")
     assert [e.word for e in a3.elements_up_to(1)] == [(), (1,), (2,), (3,)]
@@ -473,12 +498,23 @@ def test_every_root_type_fits_the_key_width(label):
         assert key == sum((c + bias) << (width * j) for j, c in enumerate(v))
     assert largest < bias, (largest, width)
     # the letter guard's count, |W| l(w0) / 2, with |W| and l(w0) = |Phi+|
-    # from the degrees for A-D, is every letter of every canonical word
+    # from the degrees, is every letter of every canonical word
     longest = len(model.positive_roots)
-    if label[0] in "ABCD":
-        assert coxeter._abcd_order(label[0], int(label[1:])) == (system.order, longest)
+    assert _order_and_longest(label[0], int(label[1:])) == (system.order, longest)
     letters = sum(len(x.word) for x in system.elements)
     assert letters == system.order * longest // 2 <= MAX_WORD_LETTERS
+
+
+def _order_and_longest(family, n):
+    # |W| = the product of the degrees, l(w0) = the sum of the d_i - 1
+    degrees = list(coxeter._DEGREES[family](n))
+    return math.prod(degrees), sum(d - 1 for d in degrees)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8, 13, 1000])
+def test_dihedral_degrees_give_the_order_and_longest_length(m):
+    system = build_system(f"I2({m})")
+    assert _order_and_longest("I", m) == (system.order, system.longest_element().length)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +678,8 @@ def test_a_long_infinite_word_leaves_no_table_entry_per_prefix():
     # a walk stores the steps of the elements every Hecke row or nconst
     # product can reach and computes the steps past them, so a long word
     # leaves its result behind and no table entry per prefix
-    bound = coxeter._alt_index(2, coxeter._WALK_STORED_LEN) + 1
-    assert hecke.ROW_MAX_LEN <= coxeter._WALK_STORED_LEN
+    bound = coxeter._alt_index(2, coxeter.MAX_INFINITE_LEN) + 1
+    assert hecke.ROW_MAX_LEN == coxeter.MAX_INFINITE_LEN
     system = build_system.__wrapped__("I2(inf)")
     assert system._walk_stored == bound
     word = (1, 2) * 10_000
