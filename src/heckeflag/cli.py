@@ -7,7 +7,7 @@ Exit codes: 0 ok, 2 at least one checked identity mismatched, 1 error.  Every
 command is deterministic: identical invocations produce identical payloads.
 
 The verify suites embed their expected values as formulas, not golden files,
-so a fresh checkout self-verifies:
+so a fresh checkout self-verifies; each suite's parser declares its options:
 
     heckeflag verify dihedral
     heckeflag verify flags --n 2 --q 3 --n 3 --q 5
@@ -16,15 +16,17 @@ so a fresh checkout self-verifies:
 
 Each command computes its data once: a JSON document, CSV rows and a table.
 ``run`` renders the chosen --format of it and turns any ValueError into exit
-1; -h/--help is an ok result whose payload is the help text.  Repeated
---n/--q pairs run the flags suite on each space in order; its CSV has one
-header and a row n,q,w,z,observed,predicted,match per count, with z = "total"
-for the whole-space counts.  In process, ``run`` returns what
-``main`` prints:
+1, a usage error included: an option the command or suite does not read is
+refused before any work.  -h/--help is an ok result whose payload is the help
+text.  Repeated --n/--q pairs run the flags suite on each space in order; its
+CSV has one header and a row n,q,w,z,observed,predicted,match per count, with
+z = "total" for the whole-space counts.  ``run`` returns what ``main`` prints:
 
     >>> print(run(["trace", "--type", "A1", "--w", "1", "--at", "-1"]).payload, end="")
     trace(T_[1]) = q - 1
     value at q = -1: -2
+    >>> run(["verify", "dihedral", "--type", "B3"])
+    CommandResult(status='error', payload='', diagnostics=['unrecognized arguments: --type B3'])
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def _nconst(args):
     w = system.normal_form(_parse_word(args.w))
     wp = system.normal_form(_parse_word(args.wp))
     length = len(w.word) + len(wp.word)
-    if not system.is_finite and length > ROW_MAX_LEN:
+    if length > ROW_MAX_LEN:
         # the product's time and memory grow steeply with the lengths
         raise ValueError(
             f"nconst on {args.type} refused: l(w) + l(wp) = {length} exceeds {ROW_MAX_LEN}")
@@ -156,17 +158,19 @@ def _trace(args):
 
 
 def _verify(args):
-    """A verification suite: --type is the hecke suite's type, the --n/--q
-    pairs the flags suite's spaces, in order; a mismatch sets exit code 2."""
-    suite = args.suite if args.suite is not None else args.suite_pos
-    if args.suite_pos not in (None, suite):
-        raise ValueError(f"verify got two suites: {args.suite_pos} and --suite {suite}")
-    if suite is None:
-        raise ValueError("verify needs a suite: hecke|dihedral|flags|all")
-    ns, qs = args.n or [2], args.q or [3]
-    if len(ns) != len(qs):
-        raise ValueError(f"verify needs one --q per --n: got {len(ns)} --n and {len(qs)} --q")
-    checks = run_suite(suite, args.type, list(zip(ns, qs)))
+    """A suite with the options its parser declares: --type for hecke, the
+    --n/--q pairs (in order) for flags; a mismatch sets exit code 2."""
+    suite = args.suite
+    if suite == "hecke":
+        checks = run_suite(suite, args.type)
+    elif suite == "flags":
+        ns, qs = args.n or [2], args.q or [3]
+        if len(ns) != len(qs):
+            raise ValueError(
+                f"verify needs one --q per --n: got {len(ns)} --n and {len(qs)} --q")
+        checks = run_suite(suite, spaces=list(zip(ns, qs)))
+    else:
+        checks = run_suite(suite)
     failures = [c for c in checks if not c.ok]
     summary = f"{len(checks)} checks, {len(failures)} mismatches"
     doc = {"status": "verification_failed" if failures else "ok", "summary": summary,
@@ -231,17 +235,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--w", default="")
     p.add_argument("--at", type=int, default=None)
 
-    p = sub.add_parser("verify", help="run a self-contained verification suite")
-    p.add_argument("suite_pos", nargs="?", default=None,
-                   metavar="suite", help="hecke|dihedral|flags|all")
-    p.add_argument("--suite", default=None)
+    verify = sub.add_parser("verify", help="run a self-contained verification suite")
+    suites = verify.add_subparsers(dest="suite", required=True)
+    p = suites.add_parser("hecke", help="Hecke-algebra identities on one finite type")
     p.add_argument("--type", default="A3")
+    p = suites.add_parser("flags", help="flag counts on GL_n(F_q) against Hecke values")
     # repeated --n/--q pairs select several flag spaces, in order
     p.add_argument("--n", type=int, action="append")
     p.add_argument("--q", type=int, action="append")
+    suites.add_parser("dihedral", help="diagonal-support sets of dihedral groups")
+    suites.add_parser("all", help="the three suites on fixed small inputs")
 
-    for p in sub.choices.values():
-        p.add_argument("--format", default="table", choices=["table", "json", "csv"])
+    for p in (*sub.choices.values(), *suites.choices.values()):
+        if p is not verify:
+            p.add_argument("--format", default="table", choices=["table", "json", "csv"])
     return parser
 
 

@@ -7,7 +7,8 @@ order is length order: a longer element always has a larger index.  The
 system holds its multiplication tables as one column per generator,
 ``_rmult[g][x]`` = x s_{g+1} and ``_lmult[g][x]`` = s_{g+1} x by index, its
 inverse, length and last-letter tables by index, and one Element object per
-index, so elements compare by identity.
+index, so elements compare by identity.  An element holds no reference to its
+system: the system decides membership, by the object stored at the index.
 
 Two constructions fill these tables:
 
@@ -106,25 +107,19 @@ class Element:
     ``index`` is the element's position in the ShortLex numbering of its
     system.  The system holds one Element per index and every operation
     returns that object, so equality and hashing are object identity: the
-    same system and the same word.
+    same system and the same word.  It holds no reference to its system,
+    which decides membership (``_owns``), so the two form no reference cycle.
     """
 
-    __slots__ = ("system", "word", "index")
+    __slots__ = ("word", "index")
 
-    def __init__(self, system: "CoxeterSystem", word: tuple[int, ...], index: int):
-        self.system = system
+    def __init__(self, word: tuple[int, ...], index: int):
         self.word = word
         self.index = index
 
     @property
     def length(self) -> int:
         return len(self.word)
-
-    def inverse(self) -> "Element":
-        return self.system.inverse(self)
-
-    def __mul__(self, other: "Element") -> "Element":
-        return self.system.multiply(self, other)
 
     def __repr__(self):
         if not self.word:
@@ -396,7 +391,7 @@ class CoxeterSystem:
         self._rmult = rmult
         self._lengths = [len(w) for w in words]
         self._last = last = [w[-1] if w else 0 for w in words]
-        self._elements = tuple(Element(self, w, i) for i, w in enumerate(words))
+        self._elements = tuple(map(Element, words, itertools.count()))
         # x = p s with p = x s its parent, earlier in the walk, as is the
         # inverse of p (same length): s_g x = (s_g p) s and x^-1 = s p^-1
         last_cols = [rmult[s - 1] for s in last[1:]]
@@ -433,7 +428,7 @@ class CoxeterSystem:
         self._rmult = rmult = [table(lambda i, g=g: _alt_right(i, g, top)) for g in (0, 1)]
         # s x = (x^-1 s)^-1
         self._lmult = [table(lambda i, col=col: inv[col[inv[i]]]) for col in rmult]
-        elements = table(lambda i: Element(self, _alt_word(i), i))
+        elements = table(lambda i: Element(_alt_word(i), i))
         self._elements = elements if m is None else tuple(elements)
         self._walk_stored = _alt_index(2, MAX_INFINITE_LEN) + 1 if m is None else 2 * m
 
@@ -481,8 +476,15 @@ class CoxeterSystem:
             end = max(2 * max_len + 1, 0)
         return [self._elements[i] for i in range(end)]
 
+    def _owns(self, a: Element) -> bool:
+        """a is the object stored at its index; I2(inf) reads without filling."""
+        elements, i = self._elements, a.index
+        if self.is_finite:
+            return 0 <= i < len(elements) and elements[i] is a
+        return elements.get(i) is a
+
     def _check_member(self, a: Element):
-        if a.system is not self:
+        if not self._owns(a):
             raise ValueError("element does not belong to this system")
 
     # -- arithmetic ----------------------------------------------------------

@@ -51,6 +51,9 @@ rows of a canonical column by the units s keeps every zero, so its pivot row
 stays, and dividing by the pivot entry gives a vector whose lowest nonzero
 entry is 1, another interned column.  Every count is a histogram of relative
 positions over one scan, exact and deterministic.
+
+    >>> len(build_space(3, 5).flags)
+    186
 """
 
 from __future__ import annotations
@@ -314,9 +317,6 @@ class FlagSpace:
 
     # -- basic maps ----------------------------------------------------------
 
-    def element_of_permutation(self, perm: Sequence[int]) -> Element:
-        return self._elt_of[tuple(perm)]
-
     @property
     def standard_flag(self) -> Flag:
         return self.coordinate_flag(self.weyl.identity)
@@ -347,11 +347,6 @@ class FlagSpace:
                 "not regular semisimple: diagonal entries must be distinct "
                 "and nonzero mod q"
             )
-
-    def torus_fixed_flags(self, s: Sequence[int]) -> list[Flag]:
-        """The flags stable under conjugation by diag(s): coordinate flags."""
-        self._check_torus(s)
-        return [self.coordinate_flag(w) for w in self.weyl.elements]
 
     def conjugate_flag(self, s: Sequence[int], f: Flag) -> Flag:
         """The flag of s B s^{-1} for B the stabilizer of f: the flag s.f.

@@ -66,8 +66,8 @@ from .poly import ZERO, IntPoly
 __all__ = ["HeckeAlgebra", "HeckeElt", "ROW_MAX_LEN"]
 
 # longest max_len a diagonal row of an infinite system accepts (and longest
-# l(w) + l(wp) the nconst command multiplies out there), the cap of
-# coxeter's I2(inf) walks: for a w at least max_len long the last products
+# l(w) + l(wp) the nconst command multiplies out, on every system), the cap
+# of coxeter's I2(inf) walks: for a w at least max_len long the last products
 # hold about 2 max_len terms of degree up to max_len in digits about 1.6
 # max_len bits wide, so work grows like max_len^3 (at 500 about 0.6 s and
 # 45 MB on a 2-vCPU x86 host)
@@ -88,7 +88,7 @@ class HeckeElt:
     __slots__ = ("algebra", "_terms", "_packed", "_width", "_norm", "_longest")
 
     def __init__(self, algebra: "HeckeAlgebra", terms: dict[Element, IntPoly]):
-        if any(w.system is not algebra.system for w in terms):
+        if not all(map(algebra.system._owns, terms)):
             raise ValueError("term keys must belong to the algebra's system")
         self._norm = sum(map(_l1, terms.values()))
         self.algebra = algebra
@@ -130,7 +130,7 @@ class HeckeElt:
         return {k: _repack(v, self._width, width) for k, v in self._packed.items()}
 
     def coefficient(self, w: Element) -> IntPoly:
-        if w.system is not self.algebra.system:
+        if not self.algebra.system._owns(w):
             return ZERO
         return _decode(self._packed.get(w.index, 0), self._width)
 
@@ -163,7 +163,7 @@ class HeckeElt:
     def __eq__(self, other):
         return (
             isinstance(other, HeckeElt)
-            and self.algebra is other.algebra
+            and self.algebra.system is other.algebra.system
             and self.terms == other.terms
         )
 
@@ -231,9 +231,8 @@ class HeckeAlgebra:
     def __init__(self, system: CoxeterSystem):
         self.system = system
 
-    def _check_same(self, other):
-        algebra = other.algebra if isinstance(other, HeckeElt) else other
-        if algebra is not self and algebra.system is not self.system:
+    def _check_same(self, h: HeckeElt):
+        if h.algebra is not self and h.algebra.system is not self.system:
             raise ValueError("operands belong to different Hecke algebras")
 
     def t_basis(self, w: Element) -> HeckeElt:
@@ -253,16 +252,6 @@ class HeckeAlgebra:
         """h's decoded ``terms`` packed at width, for the terms constructor."""
         base = 1 << width
         return {w.index: p(base) for w, p in h.terms.items()}
-
-    # -- single-generator steps ----------------------------------------------
-
-    def mul_right_simple(self, h: HeckeElt, gen: int) -> HeckeElt:
-        """h * T_s for a single generator s."""
-        return self.product(h, self.t_basis(self.system.normal_form((gen,))))
-
-    def mul_left_simple(self, h: HeckeElt, gen: int) -> HeckeElt:
-        """T_s * h for a single generator s."""
-        return self.product(self.t_basis(self.system.normal_form((gen,))), h)
 
     # -- products --------------------------------------------------------------
 

@@ -173,20 +173,6 @@ def test_verify_flags_ok():
     assert result.status == "ok"
 
 
-def test_verify_suite_flag_spelling():
-    result = cli.run(["verify", "--suite", "dihedral"])
-    assert result.status == "ok"
-
-
-def test_verify_refuses_two_different_suites():
-    result = cli.run(["verify", "hecke", "--suite", "dihedral"])
-    assert result.exit_code == 1 and not result.payload
-    assert result.diagnostics == ["verify got two suites: hecke and --suite dihedral"]
-    # the same suite named twice is one suite
-    assert cli.run(["verify", "dihedral", "--suite", "dihedral"]).payload == \
-        cli.run(["verify", "dihedral"]).payload
-
-
 def test_verify_unknown_suite():
     result = cli.run(["verify", "everything"])
     assert result.status == "error"
@@ -196,6 +182,29 @@ def test_verify_unknown_suite():
 def test_verify_missing_suite():
     result = cli.run(["verify"])
     assert result.status == "error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dihedral", "--type", "B3"],
+    ["dihedral", "--n", "3", "--q", "5"],
+    ["all", "--type", "B3"],
+    ["flags", "--type", "G2", "--n", "2", "--q", "3"],
+    ["hecke", "--n", "2"],
+    ["--suite", "dihedral"],
+    ["--format", "csv", "dihedral"],
+], ids=" ".join)
+def test_verify_refuses_options_its_suite_does_not_read(monkeypatch, argv):
+    # each suite's parser declares only the options that suite reads, and
+    # --format comes after the suite, so anything else is a usage error
+    # before any system or flag space is built
+    def no_build(*args):
+        raise AssertionError("a suite started before its options were read")
+
+    monkeypatch.setattr(verify, "build_system", no_build)
+    monkeypatch.setattr(verify, "build_space", no_build)
+    result = cli.run(["verify", *argv])
+    assert result.exit_code == 1 and result.payload == ""
+    assert result.diagnostics and all(result.diagnostics)
 
 
 def test_verify_flags_csv_schema():
@@ -442,14 +451,22 @@ def _alternating(first, length):
     return ",".join(str(first if i % 2 == 0 else 3 - first) for i in range(length))
 
 
-@pytest.mark.parametrize("w_len, wp_len", [(251, 250), (ROW_MAX_LEN + 1, 0), (0, 1000)])
-def test_nconst_refuses_long_infinite_words(monkeypatch, w_len, wp_len):
-    # refused on the canonical lengths, before any product
+@pytest.mark.parametrize("spec, w_len, wp_len", [
+    pytest.param("I2(inf)", 251, 250, id="251-250"),
+    pytest.param("I2(inf)", ROW_MAX_LEN + 1, 0, id="501-0"),
+    pytest.param("I2(inf)", 0, 1000, id="0-1000"),
+    # w = wp = w0 of a large finite dihedral group: the I2(600) product
+    # takes about 40 s and 200 MB
+    pytest.param("I2(600)", 600, 600, id="I2(600)-w0-w0"),
+    pytest.param("I2(1000)", 1000, 1000, id="I2(1000)-w0-w0"),
+])
+def test_nconst_refuses_long_infinite_words(monkeypatch, spec, w_len, wp_len):
+    # refused on the canonical lengths, before any product, on every system
     def no_products(self, a, b):
         raise AssertionError("the size guard must refuse before any product")
 
     monkeypatch.setattr(HeckeAlgebra, "product", no_products)
-    result = cli.run(["nconst", "--type", "I2(inf)", "--w", _alternating(1, w_len),
+    result = cli.run(["nconst", "--type", spec, "--w", _alternating(1, w_len),
                       "--wp", _alternating(2, wp_len)])
     assert result.exit_code == 1
     assert f"l(w) + l(wp) = {w_len + wp_len} exceeds {ROW_MAX_LEN}" in result.diagnostics[0]
@@ -466,8 +483,8 @@ def test_nconst_runs_the_longest_allowed_infinite_words():
 
 
 def test_nconst_guard_reads_canonical_lengths():
-    # 1000 letters that cancel to the identity are no long word; finite
-    # systems are not limited
+    # 1000 letters that cancel to the identity are no long word, and on A2
+    # 800 alternating letters reduce to a canonical word of length 2
     ok = ["nconst", "--type", "I2(inf)", "--w", ",".join("1" * 1000), "--wp", "2"]
     assert run_json(ok + ["--format", "json"])[0]["wpp"] == [2]
     long_finite = ["nconst", "--type", "A2", "--w", _alternating(1, 800),
@@ -635,7 +652,7 @@ def test_main_writes_diagnostics_to_stderr(capsys):
     (["--help"], "usage: heckeflag [-h]"),
     (["-h"], "usage: heckeflag [-h]"),
     (["trace", "--help"], "usage: heckeflag trace [-h] --type TYPE"),
-    (["verify", "-h"], "usage: heckeflag verify [-h]"),
+    (["verify", "hecke", "-h"], "usage: heckeflag verify hecke [-h]"),
 ])
 def test_help_is_an_ok_payload(argv, usage, capsys):
     result = cli.run(argv)

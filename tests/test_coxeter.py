@@ -641,11 +641,13 @@ def test_generator_changes_length_by_one(label):
 def test_infinite_dihedral_generator_steps():
     # the steps themselves are checked in test_one_element_object_per_index;
     # bad generators and elements of another system (a fresh copy of the same
-    # type included) are refused on every kind of system
+    # type included) are refused on every kind of system, and so is B3's w0,
+    # whose index 47 lies past the last index of A3 (23) and I2(5) (9)
     for label in ("I2(inf)", "A3", "B3", "I2(5)"):
         system = build_system(label)
         other = build_system("A3" if label == "B3" else "B3")
-        foreign = [other.normal_form([1, 2]), build_system.__wrapped__(label).identity]
+        foreign = [other.normal_form([1, 2]), build_system.__wrapped__(label).identity,
+                   build_system.__wrapped__("B3").longest_element()]
         for a in system.elements_up_to(3):
             for g in (-1, 0, system.rank + 1):
                 with pytest.raises(ValueError, match="out of range"):

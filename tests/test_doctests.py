@@ -1,33 +1,17 @@
 import doctest
+import pkgutil
+from importlib import import_module
 
-from heckeflag import cli, coxeter, eset, hecke, poly
+import pytest
 
+import heckeflag
 
-def test_poly_doctests():
-    results = doctest.testmod(poly)
-    assert results.failed == 0
-    assert results.attempted > 0
-
-
-def test_hecke_doctests():
-    results = doctest.testmod(hecke)
-    assert results.failed == 0
-    assert results.attempted > 0
+MODULES = [info.name for info in pkgutil.iter_modules(heckeflag.__path__)
+           if info.name != "__main__"]
 
 
-def test_coxeter_doctests():
-    results = doctest.testmod(coxeter)
-    assert results.failed == 0
-    assert results.attempted > 0
-
-
-def test_eset_doctests():
-    results = doctest.testmod(eset)
-    assert results.failed == 0
-    assert results.attempted > 0
-
-
-def test_cli_doctests():
-    results = doctest.testmod(cli)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    results = doctest.testmod(import_module(f"heckeflag.{name}"))
     assert results.failed == 0
     assert results.attempted > 0

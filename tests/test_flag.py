@@ -55,7 +55,25 @@ def _pos_oracle(space, f1, f2):
         for j in range(1, n + 1):
             if d[i][j] - d[i - 1][j] - d[i][j - 1] + d[i - 1][j - 1]:
                 perm[j - 1] = i
-    return space.element_of_permutation(tuple(perm))
+    return _element_of(space, perm)
+
+
+def _element_of(space, perm):
+    """The Weyl element of a one-line permutation, from the Coxeter side: a
+    bubble sort records the adjacent swaps that sort perm, and the element's
+    word is those swaps in reverse."""
+    perm, swaps = list(perm), []
+    for end in range(len(perm) - 1, 0, -1):
+        for i in range(end):
+            if perm[i] > perm[i + 1]:
+                perm[i], perm[i + 1] = perm[i + 1], perm[i]
+                swaps.append(i + 1)
+    return space.weyl.normal_form(reversed(swaps))
+
+
+def _fixed_flags(space):
+    # the flags a regular torus fixes are the coordinate flags
+    return [space.coordinate_flag(w) for w in space.weyl.elements]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +297,7 @@ def test_cell_sizes_exhaustive_gl3():
 def test_torus_fixed_flags():
     space = build_space(3, 5)
     s = space.default_torus()
-    fixed = space.torus_fixed_flags(s)
+    fixed = _fixed_flags(space)
     assert len(fixed) == 6
     # independent route: filter the full enumeration by s-stability
     filtered = [f for f in space.flags if space.conjugate_flag(s, f) == f]
@@ -288,7 +306,8 @@ def test_torus_fixed_flags():
 
 def test_torus_fixed_flags_gl2():
     space = build_space(2, 3)
-    fixed = space.torus_fixed_flags(space.default_torus())
+    fixed = _fixed_flags(space)
+    assert all(space.conjugate_flag(space.default_torus(), f) == f for f in fixed)
     assert [f.cols for f in fixed] == [
         ((1, 0), (0, 1)),
         ((0, 1), (1, 0)),
@@ -297,12 +316,11 @@ def test_torus_fixed_flags_gl2():
 
 def test_torus_validation():
     space = build_space(2, 5)
-    with pytest.raises(ValueError, match="regular semisimple"):
-        space.torus_fixed_flags((1, 1))
-    with pytest.raises(ValueError, match="regular semisimple"):
-        space.torus_fixed_flags((0, 1))
-    with pytest.raises(ValueError, match="regular semisimple"):
-        space.torus_fixed_flags((1, 6))  # 6 = 1 mod 5
+    for s in ((1, 1), (0, 1), (1, 6)):  # 6 = 1 mod 5
+        with pytest.raises(ValueError, match="regular semisimple"):
+            space.conjugate_flag(s, space.standard_flag)
+        with pytest.raises(ValueError, match="regular semisimple"):
+            space.histogram_Y_total(s)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +460,7 @@ def test_flags_share_one_tuple_per_column(n, points):
 def test_count_z_matches_full_scan_for_arbitrary_bases():
     space = build_space(3, 5)
     rng = random.Random(5)
-    fixed = space.torus_fixed_flags(space.default_torus())
+    fixed = _fixed_flags(space)
     moving = [f for f in space.flags if f not in fixed]
     for _ in range(6):
         base, base2 = rng.sample(moving, 2)
@@ -460,7 +478,7 @@ def test_count_y_cell_matches_full_scan_for_every_fixed_base():
     space = build_space(3, 5)
     for s in (space.default_torus(), (2, 4, 1)):
         moved = {f: _pos_oracle(space, f, _scaled(space, s, f)) for f in space.flags}
-        for base in space.torus_fixed_flags(s):
+        for base in _fixed_flags(space):
             want = {}
             for f in space.flags:
                 key = (_pos_oracle(space, base, f), moved[f])
@@ -485,7 +503,7 @@ def test_count_y_cell_scans_the_translated_pairs(monkeypatch):
         return original(self, pairs)
 
     monkeypatch.setattr(FlagSpace, "_histogram", capture)
-    for base in space.torus_fixed_flags(s):
+    for base in _fixed_flags(space):
         for z in space.weyl.elements:
             scanned.clear()
             space.histogram_Y_cell(s, base, z)

@@ -3,10 +3,12 @@ group-algebra degeneration at q = 1, degree and positivity facts, the
 equivalence of the two product expansion directions, and the packed kernel
 against a plain IntPoly reference step."""
 
+import gc
 import itertools
 import json
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,11 @@ from heckeflag.poly import ONE, Q, Q_MINUS_ONE, ZERO, IntPoly
 
 def algebra(label):
     return HeckeAlgebra(build_system(label))
+
+
+def t_gen(H, gen):
+    # T_s for the generator s_gen
+    return H.t_basis(H.system.normal_form([gen]))
 
 
 def reference_step(terms, gen, mult):
@@ -68,14 +75,14 @@ def test_quadratic_relation():
     H = algebra("A1")
     sys_ = H.system
     s1 = sys_.normal_form([1])
-    got = H.mul_right_simple(H.t_basis(s1), 1)
+    got = H.product(H.t_basis(s1), t_gen(H, 1))
     assert got.terms == {sys_.identity: Q, s1: Q_MINUS_ONE}
 
 
 def test_lengthening_step():
     H = algebra("A2")
     sys_ = H.system
-    got = H.mul_right_simple(H.t_basis(sys_.normal_form([1])), 2)
+    got = H.product(H.t_basis(sys_.normal_form([1])), t_gen(H, 2))
     assert got.terms == {sys_.normal_form([1, 2]): ONE}
 
 
@@ -83,24 +90,23 @@ def test_step_linearity():
     H = algebra("A2")
     sys_ = H.system
     h = Q * H.t_basis(sys_.identity)
-    assert H.mul_right_simple(h, 1).terms == {sys_.normal_form([1]): Q}
+    assert H.product(h, t_gen(H, 1)).terms == {sys_.normal_form([1]): Q}
 
 
 def test_left_step_quadratic():
     H = algebra("A2")
     sys_ = H.system
     s1 = sys_.normal_form([1])
-    got = H.mul_left_simple(H.t_basis(s1), 1)
+    got = H.product(t_gen(H, 1), H.t_basis(s1))
     assert got.terms == {sys_.identity: Q, s1: Q_MINUS_ONE}
 
 
 @pytest.mark.parametrize("gen", [0, 3])
 def test_single_steps_reject_foreign_generators(gen):
+    # T_s is built from the generator before either product
     H = algebra("A2")
-    h = H.one()
-    for step in (H.mul_right_simple, H.mul_left_simple):
-        with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
-            step(h, gen)
+    with pytest.raises(ValueError, match=r"out of range 1\.\.2"):
+        t_gen(H, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +167,60 @@ def test_hecke_elt_arithmetic():
     assert not H.zero()
     assert (2 * a).coefficient(sys_.normal_form([1])) == IntPoly((2,))
     assert (a * b).terms == {sys_.normal_form([1, 2]): ONE}
+
+
+def test_two_algebras_on_one_system_compare_equal():
+    # equality compares by system, as + and * accept operands from either
+    system = build_system("A2")
+    H1, H2 = HeckeAlgebra(system), HeckeAlgebra(system)
+    s = system.normal_form([1])
+    assert H1.t_basis(s) == H2.t_basis(s)
+    assert H1.t_basis(s) + H2.t_basis(s) == 2 * H2.t_basis(s)
+    assert H1.t_basis(s) != H2.one()
+    # a second A2 system is another system
+    assert HeckeAlgebra(build_system.__wrapped__("A2")).one() != H1.one()
+
+
+@pytest.mark.parametrize("label", ["A3", "I2(inf)"])
+def test_foreign_elements_are_refused_or_read_as_zero(label):
+    # membership is decided by the system: the element stored at the index
+    H = algebra(label)
+    h = H.product(t_gen(H, 1), t_gen(H, 2))
+    b3 = build_system("B3")
+    foreign = [b3.longest_element(),  # index 47, past A3's last (23)
+               b3.normal_form([1, 2]), build_system.__wrapped__(label).identity]
+    stored = len(H.system._elements)
+    for x in foreign:
+        with pytest.raises(ValueError, match="does not belong"):
+            H.t_basis(x)
+        with pytest.raises(ValueError, match="term keys"):
+            HeckeElt(H, {x: ONE})
+        assert h.coefficient(x) == ZERO
+    # reading a foreign index fills no I2(inf) table entry
+    assert len(H.system._elements) == stored
+
+
+@pytest.mark.parametrize("label", ["B3", "I2(5)", "I2(inf)"])
+def test_a_dropped_system_is_freed_without_the_cyclic_collector(label):
+    # an element holds no reference to its system, so a system, its
+    # elements, an algebra and a product form no reference cycle: the system
+    # is freed as soon as its last reference goes, with the collector off,
+    # while an element of it lives on
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        system = build_system.__wrapped__(label)
+        H = HeckeAlgebra(system)
+        x = system.normal_form([1, 2])
+        h = H.product(H.t_basis(x), t_gen(H, 2))
+        assert h.coefficient(x) == Q_MINUS_ONE
+        ref = weakref.ref(system)
+        del system, H, h
+        assert ref() is None
+        assert x.word == (1, 2)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_mixing_algebras_rejected():
@@ -382,9 +442,9 @@ def test_kernel_matches_reference_on_infinite_dihedral_products(data):
     assert want == product_fixed_direction(H, a, b, right=False)
     assert H.product(a, b) == want
     for gen in (1, 2):
-        assert H.mul_right_simple(a, gen).terms == _nonzero(
+        assert H.product(a, t_gen(H, gen)).terms == _nonzero(
             reference_step(a.terms, gen, H.system.right_mult))
-        assert H.mul_left_simple(a, gen).terms == _nonzero(
+        assert H.product(t_gen(H, gen), a).terms == _nonzero(
             reference_step(a.terms, gen, H.system.left_mult))
 
 
@@ -405,7 +465,7 @@ def test_kernel_is_exact_past_64_bits(label):
     assert got == want
     assert max(abs(c) for p in got.terms.values() for c in p) > 2**128
     for gen in (1, 2):
-        assert H.mul_right_simple(a, gen).terms == _nonzero(
+        assert H.product(a, t_gen(H, gen)).terms == _nonzero(
             reference_step(a.terms, gen, H.system.right_mult))
 
 
@@ -414,9 +474,9 @@ def test_single_steps_match_reference_on_b3():
     elements = H.system.elements
     h = _general(H, elements, [(i, (i % 5 - 2, 1, -(i % 3))) for i in range(0, 48, 5)])
     for gen in (1, 2, 3):
-        assert H.mul_right_simple(h, gen).terms == _nonzero(
+        assert H.product(h, t_gen(H, gen)).terms == _nonzero(
             reference_step(h.terms, gen, H.system.right_mult))
-        assert H.mul_left_simple(h, gen).terms == _nonzero(
+        assert H.product(t_gen(H, gen), h).terms == _nonzero(
             reference_step(h.terms, gen, H.system.left_mult))
 
 
@@ -683,9 +743,9 @@ def test_product_with_an_operand_packed_wider_than_needed(data):
     assert H.product(b, wide) == product_fixed_direction(H, b, a, right=True)
     assert H.product(wide, wide) == product_fixed_direction(H, a, a, right=True)
     gen = data.draw(st.sampled_from([1, 2]))
-    assert H.mul_right_simple(wide, gen).terms == _nonzero(
+    assert H.product(wide, t_gen(H, gen)).terms == _nonzero(
         reference_step(a.terms, gen, H.system.right_mult))
-    assert H.mul_left_simple(wide, gen).terms == _nonzero(
+    assert H.product(t_gen(H, gen), wide).terms == _nonzero(
         reference_step(a.terms, gen, H.system.left_mult))
 
 
@@ -714,10 +774,9 @@ def _assert_values_at_pm1(h, want):
 
 
 def _step_in_place(H, h, gen, move):
-    # one generator step by each of the four packed-reusing paths
-    s = H.t_basis(H.system.normal_form([gen]))
-    return (H.product(h, s), H.product(s, h),
-            H.mul_right_simple(h, gen), H.mul_left_simple(h, gen))[move]
+    # one generator step on the right (move 0) or on the left (move 1)
+    s = t_gen(H, gen)
+    return H.product(h, s) if move == 0 else H.product(s, h)
 
 
 def test_powers_of_a_generator_stay_exact():
@@ -725,8 +784,8 @@ def test_powers_of_a_generator_stay_exact():
     # grow with the carried norm overflows within a few steps
     H = algebra("B3")
     system = H.system
-    for move in range(4):
-        mult = system.right_mult if move % 2 == 0 else system.left_mult
+    for move in range(2):
+        mult = system.right_mult if move == 0 else system.left_mult
         h = H.t_basis(system.normal_form([2]))
         want = h.terms
         for _ in range(30):
@@ -750,11 +809,11 @@ def test_chains_of_packed_results_stay_exact(data):
                      min_size=1, max_size=3)
     h = _general(H, elements, data.draw(picks))
     want = h.terms
-    moves = st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(0, 3)),
+    moves = st.lists(st.tuples(st.sampled_from([1, 2]), st.integers(0, 1)),
                      min_size=1, max_size=16)
     for gen, move in data.draw(moves):
         h = _step_in_place(H, h, gen, move)
-        mult = system.right_mult if move % 2 == 0 else system.left_mult
+        mult = system.right_mult if move == 0 else system.left_mult
         want = _nonzero(reference_step(want, gen, mult))
         _assert_bounds_hold(h)
         _assert_values_at_pm1(h, want)
