@@ -17,7 +17,7 @@ The main surfaces:
 * :mod:`heckeflag.cli` -- the ``heckeflag`` command.
 """
 
-from .coxeter import ConjugacyClass, CoxeterMatrix, CoxeterSystem, Element, build_system
+from .coxeter import ConjugacyClass, CoxeterSystem, Element, build_system
 from .eset import ESetReport, e_set
 from .flag import Flag, FlagSpace, build_space
 from .hecke import HeckeAlgebra, HeckeElt
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "build_system",
     "CoxeterSystem",
-    "CoxeterMatrix",
     "Element",
     "ConjugacyClass",
     "HeckeAlgebra",

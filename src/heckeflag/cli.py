@@ -7,7 +7,9 @@ Exit codes: 0 ok, 2 at least one checked identity mismatched, 1 error.  Every
 command is deterministic: identical invocations produce identical payloads.
 
 The verify suites embed their expected values as formulas, not golden files,
-so a fresh checkout self-verifies; each suite's parser declares its options:
+so a fresh checkout self-verifies.  Each suite's parser declares the options
+that its function (heckeflag.verify's hecke_suite, flags_suite,
+dihedral_suite or all_suites) reads, and binds it:
 
     heckeflag verify dihedral
     heckeflag verify flags --n 2 --q 3 --n 3 --q 5
@@ -16,10 +18,11 @@ so a fresh checkout self-verifies; each suite's parser declares its options:
 
 Each command computes its data once: a JSON document, CSV rows and a table.
 ``run`` renders the chosen --format of it and turns any ValueError into exit
-1, a usage error included: an option the command or suite does not read is
-refused before any work.  -h/--help is an ok result whose payload is the help
-text.  Repeated --n/--q pairs run the flags suite on each space in order; its
-CSV has one header and a row n,q,w,z,observed,predicted,match per count, with
+1: a usage error, an option the command or suite does not read, or a size
+past a bound, refused before any work (hecke: |W| > 400 or l(w0) > 64;
+flags: over 200000 flags in all; trace, eset: a row past length 500).
+-h/--help is an ok result whose payload is the help text.  Checks that all
+name a flag space have a CSV row n,q,w,z,observed,predicted,match per count,
 z = "total" for the whole-space counts.  ``run`` returns what ``main`` prints:
 
     >>> print(run(["trace", "--type", "A1", "--w", "1", "--at", "-1"]).payload, end="")
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 from .coxeter import build_system
 from .eset import e_set
 from .hecke import ROW_MAX_LEN, HeckeAlgebra
-from .verify import _word_str, run_suite
+from .verify import _word_str, all_suites, dihedral_suite, flags_suite, hecke_suite
 
 __all__ = ["CommandResult", "main", "run"]
 
@@ -158,26 +161,16 @@ def _trace(args):
 
 
 def _verify(args):
-    """A suite with the options its parser declares: --type for hecke, the
-    --n/--q pairs (in order) for flags; a mismatch sets exit code 2."""
-    suite = args.suite
-    if suite == "hecke":
-        checks = run_suite(suite, args.type)
-    elif suite == "flags":
-        ns, qs = args.n or [2], args.q or [3]
-        if len(ns) != len(qs):
-            raise ValueError(
-                f"verify needs one --q per --n: got {len(ns)} --n and {len(qs)} --q")
-        checks = run_suite(suite, spaces=list(zip(ns, qs)))
-    else:
-        checks = run_suite(suite)
+    """The checks of the suite its parser binds; a mismatch sets exit code 2."""
+    checks = args.checks(args)
     failures = [c for c in checks if not c.ok]
     summary = f"{len(checks)} checks, {len(failures)} mismatches"
     doc = {"status": "verification_failed" if failures else "ok", "summary": summary,
            "checks": [c.to_json() for c in checks]}
 
     def csv_rows():
-        if suite == "flags":
+        # one row per count when every check names its flag space
+        if all(c.n is not None for c in checks):
             return [["n", "q", "w", "z", "observed", "predicted", "match"]] + [
                 [c.n, c.q, _word_str(c.w), c.z if isinstance(c.z, str) else _word_str(c.z),
                  c.observed, c.predicted, int(c.ok)] for c in checks]
@@ -190,6 +183,13 @@ def _verify(args):
             for c in (failures or checks)]) + summary + "\n"
 
     return doc, csv_rows, table, len(failures)
+
+
+def _spaces(ns: list[int], qs: list[int]) -> list[tuple[int, int]]:
+    """The flag spaces of the --n/--q pairs, in order."""
+    if len(ns) != len(qs):
+        raise ValueError(f"verify needs one --q per --n: got {len(ns)} --n and {len(qs)} --q")
+    return list(zip(ns, qs))
 
 
 _COMMANDS = {"nconst": _nconst, "eset": _eset, "trace": _trace, "verify": _verify}
@@ -239,12 +239,16 @@ def _build_parser() -> _Parser:
     suites = verify.add_subparsers(dest="suite", required=True)
     p = suites.add_parser("hecke", help="Hecke-algebra identities on one finite type")
     p.add_argument("--type", default="A3")
+    p.set_defaults(checks=lambda args: hecke_suite(args.type))
     p = suites.add_parser("flags", help="flag counts on GL_n(F_q) against Hecke values")
     # repeated --n/--q pairs select several flag spaces, in order
     p.add_argument("--n", type=int, action="append")
     p.add_argument("--q", type=int, action="append")
-    suites.add_parser("dihedral", help="diagonal-support sets of dihedral groups")
-    suites.add_parser("all", help="the three suites on fixed small inputs")
+    p.set_defaults(checks=lambda args: flags_suite(_spaces(args.n or [2], args.q or [3])))
+    p = suites.add_parser("dihedral", help="diagonal-support sets of dihedral groups")
+    p.set_defaults(checks=lambda args: dihedral_suite())
+    p = suites.add_parser("all", help="the three suites on fixed small inputs")
+    p.set_defaults(checks=lambda args: all_suites())
 
     for p in (*sub.choices.values(), *suites.choices.values()):
         if p is not verify:

@@ -62,7 +62,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
-    "CoxeterMatrix",
     "CoxeterSystem",
     "Element",
     "ConjugacyClass",
@@ -71,34 +70,6 @@ __all__ = [
     "MAX_WORD_LETTERS",
     "build_system",
 ]
-
-
-@dataclass(frozen=True)
-class CoxeterMatrix:
-    """Symmetric matrix of pairwise generator orders; None encodes infinity."""
-
-    entries: tuple[tuple[int | None, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        for i, row in enumerate(self.entries):
-            if len(row) != n:
-                raise ValueError("Coxeter matrix must be square")
-            if row[i] != 1:
-                raise ValueError("diagonal entries must be 1")
-            for j in range(n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("Coxeter matrix must be symmetric")
-                if i != j and self.entries[i][j] is not None and self.entries[i][j] < 2:
-                    raise ValueError("off-diagonal entries must be >= 2 (or None)")
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-    def order(self, i: int, j: int) -> int | None:
-        """Order of s_i s_j, 1-based indices; None means infinite."""
-        return self.entries[i - 1][j - 1]
 
 
 class Element:
@@ -235,10 +206,10 @@ def _alt_right(i: int, g: int, top: int | None = None) -> int:
 
 
 # the longest length an I2(inf) system lists (elements_up_to), a Hecke row
-# scans and an nconst product reaches (re-exported as hecke.ROW_MAX_LEN); its
-# walks (normal_form, multiply) store the steps of the elements up to this
-# length and compute the steps of longer ones without storing them, so a long
-# word leaves no table entry per prefix
+# scans on any system and an nconst product reaches (re-exported as
+# hecke.ROW_MAX_LEN); its walks (normal_form, multiply) store the steps of the
+# elements up to this length and compute the steps of longer ones without
+# storing them, so a long word leaves no table entry per prefix
 MAX_INFINITE_LEN = 500
 
 
@@ -303,18 +274,6 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], .
     return tuple(sorted(roots))
 
 
-def _coxeter_matrix_from_cartan(cartan: Sequence[Sequence[int]]) -> CoxeterMatrix:
-    bond = {0: 2, 1: 3, 2: 4, 3: 6}
-    n = len(cartan)
-    return CoxeterMatrix(tuple(
-        tuple(1 if i == j else bond[cartan[i][j] * cartan[j][i]] for j in range(n))
-        for i in range(n)))
-
-
-def _dihedral_matrix(m: int | None) -> CoxeterMatrix:
-    return CoxeterMatrix(((1, m), (m, 1)))
-
-
 # ---------------------------------------------------------------------------
 # the system
 
@@ -339,15 +298,15 @@ class CoxeterSystem:
     of either kind are safe to share across threads.
     """
 
-    def __init__(self, label: str, matrix: CoxeterMatrix, model):
+    def __init__(self, label: str, model=None, m: int | None = None):
         self.label = label
-        self.matrix = matrix
-        self.rank = matrix.rank
         self._model = model
-        # a dihedral system without a model is I2(m), or I2(inf) for m None
-        self.is_finite = model is not None or matrix.order(1, 2) is not None
+        # a root system takes its rank from its model; a system without one
+        # is I2(m), or I2(inf) for m None
+        self.rank = 2 if model is None else model.rank
+        self.is_finite = model is not None or m is not None
         if model is None:
-            self._fill_dihedral(matrix.order(1, 2))
+            self._fill_dihedral(m)
         else:
             self._enumerate_all()
 
@@ -665,7 +624,7 @@ def build_system(spec: str) -> CoxeterSystem:
         raise ValueError(f"malformed type spec {spec!r}")
     family, arg = m.group(1) or "I", m.group(2) or m.group(3)
     if arg == "inf":
-        return CoxeterSystem("I2(inf)", _dihedral_matrix(None), None)
+        return CoxeterSystem("I2(inf)")
     n = int(arg)
     if family == "I" and n < 2:
         raise ValueError(f"malformed type spec {spec!r}: need m >= 2")
@@ -674,9 +633,9 @@ def build_system(spec: str) -> CoxeterSystem:
     # the order first: the Cartan matrix alone has n^2 entries
     order = _check_order(spec, _DEGREES[family](n))
     if family == "I":
-        return CoxeterSystem(spec, _dihedral_matrix(n), None)
+        return CoxeterSystem(spec, m=n)
     cartan = _cartan(family, n)
-    system = CoxeterSystem(spec, _coxeter_matrix_from_cartan(cartan), _RootModel(cartan))
+    system = CoxeterSystem(spec, _RootModel(cartan))
     if len(system._elements) != order:
         raise AssertionError(
             f"{spec}: enumerated {len(system._elements)} elements, expected {order}")

@@ -11,7 +11,8 @@ beyond the bound is not certified.
 Membership is decided by computing the product T_w * T_z for every candidate
 z, each as (T_w T_z') T_s from the product of its prefix z' (one generator
 step per z, see ``HeckeAlgebra.diagonal_row``); no shortcut identities are
-used.  Infinite systems accept 0 <= max_len <= ``hecke.ROW_MAX_LEN``.
+used.  Infinite systems accept 0 <= max_len <= ``hecke.ROW_MAX_LEN``, and
+finite ones l(w0) up to the same bound.
 
     >>> from heckeflag import HeckeAlgebra, build_system
     >>> system = build_system("I2(4)")

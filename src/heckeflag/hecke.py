@@ -65,12 +65,12 @@ from .poly import ZERO, IntPoly
 
 __all__ = ["HeckeAlgebra", "HeckeElt", "ROW_MAX_LEN"]
 
-# longest max_len a diagonal row of an infinite system accepts (and longest
-# l(w) + l(wp) the nconst command multiplies out, on every system), the cap
-# of coxeter's I2(inf) walks: for a w at least max_len long the last products
-# hold about 2 max_len terms of degree up to max_len in digits about 1.6
-# max_len bits wide, so work grows like max_len^3 (at 500 about 0.6 s and
-# 45 MB on a 2-vCPU x86 host)
+# longest z a row reaches (max_len, or l(w0) of a finite system) and longest
+# l(w) + l(wp) the nconst command multiplies out, the cap of coxeter's I2(inf)
+# walks: for a w at least max_len long the last products hold about 2 max_len
+# terms of degree up to max_len in digits about 1.6 max_len bits wide, so work
+# grows like max_len^3 (at 500 about 0.6 s and 45 MB on a 2-vCPU x86 host, and
+# the trace of w0 in I2(500) 8 s and 124 MB)
 ROW_MAX_LEN = MAX_INFINITE_LEN
 
 
@@ -326,9 +326,9 @@ class HeckeAlgebra:
         lexicographic order of canonical words (so each z after its parent).
 
         Finite systems run over the whole group and take no max_len (a bound
-        would silently change the meaning); infinite systems need
-        0 <= max_len <= ROW_MAX_LEN and run over the elements of length
-        <= max_len.
+        would silently change the meaning); infinite systems need a max_len
+        and run over the elements of length <= max_len.  Either way the
+        longest z, l(w0) or max_len, must lie in 0..ROW_MAX_LEN.
 
         Every z != e is its parent z' (z's canonical word without its last
         letter s) times s, one length up, so T_w T_z = (T_w T_z') T_s.  The
@@ -345,16 +345,16 @@ class HeckeAlgebra:
         if system.is_finite:
             if max_len is not None:
                 raise ValueError("max_len only applies to infinite systems")
-            top = system.longest_element().length
-            bound = len(system._elements) * 3**top
+            top, size = system.longest_element().length, len(system._elements)
+        elif max_len is None:
+            raise ValueError("max_len is required for infinite systems")
         else:
-            if max_len is None:
-                raise ValueError("max_len is required for infinite systems")
-            if not 0 <= max_len <= ROW_MAX_LEN:
-                raise ValueError(
-                    f"max_len must lie in 0..{ROW_MAX_LEN}, got {max_len}")
-            top = max_len
-            bound = 3**top
+            top, size = max_len, 1
+        if not 0 <= top <= ROW_MAX_LEN:
+            raise ValueError(
+                f"{system.label} rows up to length {top} refused: max_len, or l(w0) "
+                f"of a finite system, must lie in 0..{ROW_MAX_LEN}")
+        bound = size * 3**top
         lengths, last, elements = system._lengths, system._last, system._elements
         # (column, letter, T_s) of every generator s, last letter first: the
         # children of x go on the stack in that order, so they come off in

@@ -1,17 +1,20 @@
-"""The verification suites behind ``heckeflag verify``, as ``Check`` records.
+"""The verification suites behind ``heckeflag verify``, as ``Check`` records:
+one function per suite, whose parameters are the options it reads.
 
-Expected values are formulas, not golden files.  ``dihedral`` checks the
-closed-form diagonal-support sets of I2(4), I2(6), I2(8) and I2(inf);
-``hecke`` reads w0 membership and top degree, the degree bound, positivity,
-q = 1 and the q = -1 trace from one row T_w * T_z over all z per w, and
-refuses |W| > 400; ``flags`` checks the paper's identity on GL_n(F_q):
-fixed-pair counts equal N(w, z^-1, z^-1)(q), cell counts equal fixed-pair
-counts, whole-space counts (the sums of the cell counts) equal the regular
-trace at q, with every Hecke value from one diagonal row per w.  Each suite
-makes |W|^2 products of one generator step; ``all`` runs the three on fixed
-small inputs.
+Expected values are formulas, not golden files.  ``dihedral_suite()`` checks
+the closed-form diagonal-support sets of I2(4), I2(6), I2(8) and I2(inf);
+``hecke_suite(type_spec)`` reads w0 membership and top degree, the degree
+bound, positivity, q = 1 and the q = -1 trace from one row T_w * T_z over all
+z per w, and refuses |W| > 400 or l(w0) > 64; ``flags_suite(spaces)`` checks
+the paper's identity on each GL_n(F_q) in turn: fixed-pair counts equal
+N(w, z^-1, z^-1)(q), cell counts equal fixed-pair counts, whole-space counts
+(the sums of the cell counts) equal the regular trace at q, with every Hecke
+value from one diagonal row per w, and refuses any pair that ``check_space``
+refuses, or more than 200 000 flags in all, before it builds a space.  Each
+suite makes |W|^2 products of one generator step; ``all_suites()`` runs the
+three on fixed small inputs.
 
-    >>> [c.ok for c in run_suite("dihedral")].count(True)
+    >>> [c.ok for c in dihedral_suite()].count(True)
     15
 """
 
@@ -22,14 +25,18 @@ from typing import Sequence
 
 from .coxeter import build_system
 from .eset import e_set
-from .flag import build_space, check_space
+from .flag import FLAG_SPACE_MAX_FLAGS, build_space, check_space
 from .hecke import HeckeAlgebra
 from .poly import ZERO
 
-__all__ = ["Check", "HECKE_SUITE_MAX_ORDER", "run_suite"]
+__all__ = ["Check", "HECKE_SUITE_MAX_LEN", "HECKE_SUITE_MAX_ORDER", "all_suites",
+           "dihedral_suite", "flags_suite", "hecke_suite"]
 
-# the hecke suite does |W|^2 products; F4 (1152) and A5 (720) would take minutes
+# the hecke suite does |W|^2 products at a width that grows with l(w0): F4
+# (1152), A5 (720), I2(100) (20 s) and I2(200) would take minutes; B4, the
+# slowest type admitted, takes about 4 s on a 2-vCPU x86 host, as does I2(72)
 HECKE_SUITE_MAX_ORDER = 400
+HECKE_SUITE_MAX_LEN = 64
 
 
 @dataclass(frozen=True)
@@ -63,28 +70,16 @@ def _word_str(word) -> str:
     return ",".join(str(g) for g in word)
 
 
-def run_suite(suite: str, type_spec: str = "A3",
-              spaces: Sequence[tuple[int, int]] = ((2, 3),)) -> list[Check]:
-    """The checks of one suite; type_spec is for hecke, spaces (n, q) for flags."""
-    if suite == "dihedral":
-        return _dihedral_suite()
-    if suite == "hecke":
-        return _hecke_suite(type_spec)
-    if suite == "flags":
-        for n, q in spaces:
-            check_space(n, q)  # refuse any pair before the first space is built
-        return [c for n, q in spaces for c in _flags_suite(n, q)]
-    if suite == "all":
-        checks = _dihedral_suite()
-        for t in ("A2", "A3", "B3", "I2(4)"):
-            checks += _hecke_suite(t)
-        for n, q in ((2, 3), (2, 5), (2, 7), (3, 5)):
-            checks += _flags_suite(n, q)
-        return checks
-    raise ValueError(f"unknown suite {suite!r}: expected hecke|dihedral|flags|all")
+def all_suites() -> list[Check]:
+    """The three suites on fixed small inputs."""
+    checks = dihedral_suite()
+    for t in ("A2", "A3", "B3", "I2(4)"):
+        checks += hecke_suite(t)
+    return checks + flags_suite(((2, 3), (2, 5), (2, 7), (3, 5)))
 
 
-def _dihedral_suite() -> list[Check]:
+def dihedral_suite() -> list[Check]:
+    """The closed-form diagonal-support sets of I2(4), I2(6), I2(8) and I2(inf)."""
     checks: list[Check] = []
     for n in (2, 3, 4):
         system = build_system(f"I2({2 * n})")
@@ -151,18 +146,20 @@ def _minus_one_traces(system) -> list[int]:
     return traces
 
 
-def _hecke_suite(type_spec: str) -> list[Check]:
+def hecke_suite(type_spec: str = "A3") -> list[Check]:
+    """Hecke-algebra identities on one finite type, refused past the bounds."""
     system = build_system(type_spec)
     if not system.is_finite:
         raise ValueError("hecke suite needs a finite type")
-    if system.order > HECKE_SUITE_MAX_ORDER:
+    w0 = system.longest_element()
+    if system.order > HECKE_SUITE_MAX_ORDER or w0.length > HECKE_SUITE_MAX_LEN:
         raise ValueError(
-            f"hecke suite on {type_spec} refused: |W| = {system.order} exceeds "
-            f"the bound {HECKE_SUITE_MAX_ORDER} (the suite does |W|^2 products)"
+            f"hecke suite on {type_spec} refused: it needs |W| <= {HECKE_SUITE_MAX_ORDER} "
+            f"and l(w0) <= {HECKE_SUITE_MAX_LEN}, got |W| = {system.order} and "
+            f"l(w0) = {w0.length} (the suite does |W|^2 products)"
         )
     algebra = HeckeAlgebra(system)
     elements = system.elements
-    w0 = system.longest_element()
     suite = f"hecke[{type_spec}]"
 
     # one row T_w * T_z over all z per w feeds every check
@@ -221,7 +218,17 @@ def _hecke_suite(type_spec: str) -> list[Check]:
     ]
 
 
-def _flags_suite(n: int, q: int) -> list[Check]:
+def flags_suite(spaces: Sequence[tuple[int, int]] = ((2, 3),)) -> list[Check]:
+    """Flag counts against Hecke values on each GL_n(F_q), (n, q) in spaces."""
+    flags = sum(check_space(n, q) for n, q in spaces)
+    if flags > FLAG_SPACE_MAX_FLAGS:
+        raise ValueError(
+            f"flags suite refused: its spaces hold {flags} flags in all, over "
+            f"the bound {FLAG_SPACE_MAX_FLAGS}")
+    return [c for n, q in spaces for c in _space_checks(n, q)]
+
+
+def _space_checks(n: int, q: int) -> list[Check]:
     space = build_space(n, q)
     weyl = space.weyl
     algebra = HeckeAlgebra(weyl)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckeflag import cli, coxeter, verify
 from heckeflag.coxeter import MAX_FINITE_ORDER, MAX_WORD_LETTERS, CoxeterSystem
-from heckeflag.flag import FlagSpace
+from heckeflag.flag import FLAG_SPACE_MAX_FLAGS, FlagSpace
 from heckeflag.hecke import ROW_MAX_LEN, HeckeAlgebra, HeckeElt
 from heckeflag.poly import ONE, Q_MINUS_ONE
 
@@ -321,6 +321,18 @@ def test_verify_flags_refuses_a_later_pair_before_any_space(monkeypatch):
     assert "510902400 flags" in result.diagnostics[0]
 
 
+def test_verify_flags_refuses_the_summed_flag_count(monkeypatch):
+    # each GL4(F7) pair passes alone (182400 flags), two of them (364800,
+    # about 8 s of work) are refused before the first space is built
+    def no_build(n, q):
+        raise AssertionError("a flag space was built")
+
+    monkeypatch.setattr(verify, "build_space", no_build)
+    result = cli.run(["verify", "flags", "--n", "4", "--q", "7", "--n", "4", "--q", "7"])
+    assert result.exit_code == 1 and result.payload == ""
+    assert f"364800 flags in all, over the bound {FLAG_SPACE_MAX_FLAGS}" in result.diagnostics[0]
+
+
 @pytest.mark.parametrize("pairs", [["--n", "2", "--n", "3", "--q", "5"],
                                    ["--q", "3", "--q", "5"]])
 def test_verify_flags_needs_one_q_per_n(pairs):
@@ -426,9 +438,11 @@ def test_verify_hecke_findings_keep_element_order(monkeypatch):
         "q=1 group-algebra violations"]
 
 
-@pytest.mark.parametrize("label, order", [("F4", 1152), ("A5", 720)])
+@pytest.mark.parametrize("label, order", [
+    ("F4", 1152), ("A5", 720), ("I2(65)", 130), ("I2(200)", 400)])
 def test_verify_hecke_refuses_large_groups(monkeypatch, label, order):
-    # a missing guard fails fast here instead of running for minutes
+    # a missing guard fails fast here instead of running for minutes; I2(m)
+    # is refused on l(w0) = m > 64 (I2(100) took 20 s, I2(200) over 400 s)
     def no_products(self, a, b):
         raise AssertionError("the size guard must refuse before any product")
 
@@ -439,6 +453,21 @@ def test_verify_hecke_refuses_large_groups(monkeypatch, label, order):
     assert result.payload == ""
     assert str(order) in result.diagnostics[0]
     assert str(verify.HECKE_SUITE_MAX_ORDER) in result.diagnostics[0]
+    assert f"l(w0) <= {verify.HECKE_SUITE_MAX_LEN}" in result.diagnostics[0]
+
+
+@pytest.mark.parametrize("command", ["trace", "eset"])
+def test_rows_refuse_a_longest_element_past_the_row_cap(monkeypatch, command):
+    # I2(501) passes the group guards, but its rows reach l(w0) = 501 > 500
+    # (the trace of w0 in I2(1000) took 132 s and 876 MB)
+    def no_products(self, a, b):
+        raise AssertionError("the row cap must refuse before any product")
+
+    monkeypatch.setattr(HeckeAlgebra, "product", no_products)
+    result = cli.run([command, "--type", "I2(501)", "--w", _alternating(1, 501)])
+    assert result.exit_code == 1 and result.payload == ""
+    assert "length 501 refused" in result.diagnostics[0]
+    assert f"0..{ROW_MAX_LEN}" in result.diagnostics[0]
 
 
 def test_exit_code_contract():
