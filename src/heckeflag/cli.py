@@ -185,8 +185,11 @@ def _verify(args):
     return doc, csv_rows, table, len(failures)
 
 
-def _spaces(ns: list[int], qs: list[int]) -> list[tuple[int, int]]:
-    """The flag spaces of the --n/--q pairs, in order."""
+def _spaces(ns: list[int] | None, qs: list[int] | None) -> list[tuple[int, int]]:
+    """The flag spaces of the --n/--q pairs, in order; 2 3 when neither is given."""
+    if ns is None and qs is None:
+        return [(2, 3)]
+    ns, qs = ns or [], qs or []
     if len(ns) != len(qs):
         raise ValueError(f"verify needs one --q per --n: got {len(ns)} --n and {len(qs)} --q")
     return list(zip(ns, qs))
@@ -244,7 +247,7 @@ def _build_parser() -> _Parser:
     # repeated --n/--q pairs select several flag spaces, in order
     p.add_argument("--n", type=int, action="append")
     p.add_argument("--q", type=int, action="append")
-    p.set_defaults(checks=lambda args: flags_suite(_spaces(args.n or [2], args.q or [3])))
+    p.set_defaults(checks=lambda args: flags_suite(_spaces(args.n, args.q)))
     p = suites.add_parser("dihedral", help="diagonal-support sets of dihedral groups")
     p.set_defaults(checks=lambda args: dihedral_suite())
     p = suites.add_parser("all", help="the three suites on fixed small inputs")

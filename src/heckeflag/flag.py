@@ -37,20 +37,38 @@ before any larger run.
 
 The flags are enumerated Bruhat cell by Bruhat cell: cell(z), the flags F
 with pos(standard, F) = z, are the q^l(z) canonical matrices whose pivot rows
-spell z, and the space records the index range of each cell.  Column j of
-such a matrix is 1 at its pivot row, 0 below it and at the pivot rows of the
-columns before it, and free elsewhere, so its choices depend on no other
-column and the cell is the product of each column's interned choices.  The
-counts scan one cell, not every flag, after moving their base flag to the
-standard flag by an exact group identity.  With g the matrix of base,
-{F : pos(base, F) = z} = g.cell(z) and pos(base2, g.F) = pos(g^-1.base2, F).
-A torus-fixed base is P_v.standard for a permutation matrix P_v, and
-conjugating P_v.F by diag(s) is P_v times F conjugated by the permuted
-diagonal s'_j = s_{v(j)}.  Conjugation maps columns one by one: scaling the
-rows of a canonical column by the units s keeps every zero, so its pivot row
-stays, and dividing by the pivot entry gives a vector whose lowest nonzero
-entry is 1, another interned column.  Every count is a histogram of relative
-positions over one scan, exact and deterministic.
+spell z.  Column j of such a matrix is 1 at its pivot row, 0 below it and at
+the pivot rows of the columns before it, and free elsewhere (``_free_rows``),
+so its choices depend on no other column and the cell is the product of each
+column's interned choices.  The counts read one cell, not every flag, after
+moving their base flag to the standard flag by an exact group identity.  With
+g the matrix of base, {F : pos(base, F) = z} = g.cell(z) and
+pos(base2, g.F) = pos(g^-1.base2, F).  A torus-fixed base is P_v.standard for
+a permutation matrix P_v, and conjugating P_v.F by diag(s) is P_v times F
+conjugated by the permuted diagonal s'_j = s_{v(j)}.  Conjugation maps
+columns one by one: scaling the rows of a canonical column by the units s
+keeps every zero, so its pivot row stays, and dividing by the pivot entry
+gives a vector whose lowest nonzero entry is 1, another interned column.
+
+A cell is not scanned flag by flag but one flag per torus orbit.  The
+diagonal torus T fixes the standard flag, so it maps every cell to itself:
+t.F scales entry (i, j) of F by t_i / t_{p_j}, p_j the pivot row of column j.
+Relative position is invariant, pos(t.F, t.F') = pos(F, F'), and t commutes
+with the diagonal s, so the cell count's pos(F, s'.F) is constant on the
+T-orbits of the cell, and the fixed-pair count's pos(g^-1.base2, F) on the
+orbits of the subtorus fixing g^-1.base2: the t constant on each connected
+component of the graph on the rows with an edge i - p_j for every nonzero
+entry (i, j) off the pivots of g^-1.base2.  ``_orbits`` walks the free
+entries of the cell in order and keeps the components of those edges and of
+the nonzero entries chosen so far; the torus elements fixing everything
+chosen are the t constant on each component.  An entry whose two rows lie in
+different components is scaled by them through every unit, so it is 0, or 1
+standing for the q - 1 nonzero values (its orbit weight times q - 1); an
+entry inside one component is fixed by them, so each of its q values starts
+an orbit of its own.  Each entry's choices thus weigh q in all, the weights
+of a cell add up to q^l(z), and the walk checks that they do.  Every count is
+a histogram of relative positions weighted by orbit size, exact and
+deterministic; the whole-space count scans every flag with weight 1.
 
     >>> len(build_space(3, 5).flags)
     186
@@ -165,6 +183,18 @@ def _pivot(col: Sequence[int]) -> int:
     raise ValueError("matrix is singular over F_q")
 
 
+def _free_rows(pivots: Sequence[int]) -> list[list[int]]:
+    """The free rows of each column of the cell whose pivot rows are pivots:
+    the rows above the column's pivot that no earlier column pivots on."""
+    return [[i for i in range(p) if i not in pivots[:j]] for j, p in enumerate(pivots)]
+
+
+def _join(label: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    """The component label of each row, once rows i and j are joined."""
+    a, b = label[i], label[j]
+    return label if a == b else tuple([b if c == a else c for c in label])
+
+
 def _lane_width(n: int, q: int) -> int:
     """Bits per lane of a packed column: a solve's lanes stay under 2^B."""
     return ((q - 1) + n * (q - 1) ** 2).bit_length()
@@ -241,8 +271,8 @@ class FlagSpace:
     """All complete flags in F_q^n, with relative-position machinery.
 
     The Weyl group is the Coxeter system A_{n-1}; permutations are one-line
-    tuples p with p[j-1] = image of j.  The flags, their interned columns and
-    the cells are fixed at construction, and counts are pure scans.  The one
+    tuples p with p[j-1] = image of j.  The flags and their interned columns
+    are fixed at construction, and counts are pure scans.  The one
     state that changes is a memo no caller can see: the column map of the last
     torus conjugate_flag was given, validated and rebuilt whenever the torus
     changes, so every result is the one a fresh space gives.
@@ -271,13 +301,10 @@ class FlagSpace:
         # the column map of the last torus conjugate_flag validated
         self._scaled: _ScaledColumns | None = None
         self.flags: list[Flag] = []
-        # cell(z) = {F : pos(standard, F) = z} is flags[self._cells[z]]
-        self._cells: dict[Element, range] = {}
         # the pivot row of each column, one tuple shared by a cell; the keys
         # are the members of the space
         self._pivots: dict[Matrix, tuple[int, ...]] = {}
-        for w, pivots, cell in self._enumerate_flags():
-            self._cells[w] = range(len(self.flags), len(self.flags) + len(cell))
+        for pivots, cell in self._enumerate_flags():
             self.flags += cell
             for f in cell:
                 self._pivots[f.cols] = pivots
@@ -289,7 +316,7 @@ class FlagSpace:
             raise AssertionError("flag columns miss a point of the projective space")
 
     def _enumerate_flags(self):
-        """Yield (z, pivot rows, the flags of cell(z)) in weyl.elements order.
+        """Yield (pivot rows, the flags of cell(z)) in weyl.elements order.
 
         Each column's choices are interned as they are built, and the cell is
         their product in the order of the free entries, the last one fastest.
@@ -299,8 +326,7 @@ class FlagSpace:
         for w in self.weyl.elements:
             pivots = tuple(p - 1 for p in self._perm_of[w])  # pivot row of each column, 0-based
             choices = []
-            for j, p in enumerate(pivots):
-                free = [i for i in range(p) if i not in pivots[:j]]
+            for p, free in zip(pivots, _free_rows(pivots)):
                 options = []
                 for values in iter_product(range(q), repeat=len(free)):
                     col = [0] * n
@@ -313,7 +339,7 @@ class FlagSpace:
                         packed[col] = _pack(col, width)
                     options.append(columns[col])
                 choices.append(options)
-            yield w, pivots, [Flag(cols) for cols in iter_product(*choices)]
+            yield pivots, [Flag(cols) for cols in iter_product(*choices)]
 
     # -- basic maps ----------------------------------------------------------
 
@@ -386,20 +412,62 @@ class FlagSpace:
 
     # -- counts ----------------------------------------------------------------
 
-    def _histogram(self, pairs) -> dict[Element, int]:
-        """{w: how many of the flag pairs (f1, f2) have pos(f1, f2) = w}."""
+    def _histogram(self, weighted) -> dict[Element, int]:
+        """{w: the summed weights of the flag pairs (f1, f2) with pos(f1, f2) = w},
+        over (f1, f2, weight) triples."""
         counts: dict[Element, int] = {}
-        for f1, f2 in pairs:
+        for f1, f2, weight in weighted:
             w = self.relative_position(f1, f2)
-            counts[w] = counts.get(w, 0) + 1
+            counts[w] = counts.get(w, 0) + weight
         return counts
 
-    def _cell(self, z: Element) -> list[Flag]:
+    def _orbits(self, z: Element, ref: Flag | None = None):
+        """Yield (F, weight): one flag F of cell(z) per orbit of the torus
+        elements that fix ref (the whole torus when ref is None), weight the
+        orbit's size.
+
+        The walk described in the module docstring: the components start from
+        ref's nonzero entries, and are kept as one label per row (a
+        quick-find union-find: a join relabels one component).  Raises
+        AssertionError, yielding nothing, unless the weights add up to q^l(z).
+        """
         try:
-            cell = self._cells[z]
+            pivots = tuple(p - 1 for p in self._perm_of[z])
         except KeyError:
             raise ValueError(f"{z!r} is not in the Weyl group of this space") from None
-        return self.flags[cell.start:cell.stop]
+        n, q = self.n, self.q
+        label = tuple(range(n))
+        if ref is not None:
+            for p, col in zip(self._pivots_of(ref), ref.cols):
+                for i, x in enumerate(col):
+                    if x:
+                        label = _join(label, i, p)
+        free = _free_rows(pivots)
+        # the partial flags: (the values of the entries walked, labels, weight)
+        states = [((), label, 1)]
+        for p, rows in zip(pivots, free):
+            for i in rows:
+                grown = []
+                for values, label, weight in states:
+                    if label[i] == label[p]:
+                        grown += [(values + (v,), label, weight) for v in range(q)]
+                    else:
+                        grown.append((values + (0,), label, weight))
+                        grown.append((values + (1,), _join(label, i, p), weight * (q - 1)))
+                states = grown
+        if sum(weight for _, _, weight in states) != q ** z.length:
+            raise AssertionError(f"the torus orbits of cell {z!r} miss some of its flags")
+        columns = self._columns
+        for values, _, weight in states:
+            entries = iter(values)
+            cols = []
+            for p, rows in zip(pivots, free):
+                col = [0] * n
+                col[p] = 1
+                for i in rows:
+                    col[i] = next(entries)
+                cols.append(columns[tuple(col)])
+            yield Flag(tuple(cols)), weight
 
     def histogram_Y_cell(self, s: Sequence[int], base: Flag, z: Element) -> dict[Element, int]:
         """{w: #{F : pos(base, F) = z and pos(F, s.F) = w}}, base torus-fixed."""
@@ -407,8 +475,9 @@ class FlagSpace:
             raise ValueError("base flag is not torus-fixed")
         # base = P_v.standard, and s P_v = P_v s' with s'_j = s at the pivot of column j
         permuted = tuple(s[p] for p in self._pivots_of(base))
+        # the whole torus commutes with diag(permuted) and maps cell(z) to itself
         return self._histogram(
-            (f, self.conjugate_flag(permuted, f)) for f in self._cell(z)
+            (f, self.conjugate_flag(permuted, f), weight) for f, weight in self._orbits(z)
         )
 
     def histogram_Z(self, base: Flag, base2: Flag) -> dict[Element, int]:
@@ -416,12 +485,14 @@ class FlagSpace:
         z = self.relative_position(base, base2)
         # g^-1.base2 for g the matrix of base
         translated = self.flag_of_matrix(self._coordinates(base, base2))
-        return self._histogram((translated, f) for f in self._cell(z))
+        return self._histogram(
+            (translated, f, weight) for f, weight in self._orbits(z, translated)
+        )
 
     def histogram_Y_total(self, s: Sequence[int]) -> dict[Element, int]:
         """{w: #{F : pos(F, s.F) = w}}."""
         self._check_torus(s)
-        return self._histogram((f, self.conjugate_flag(s, f)) for f in self.flags)
+        return self._histogram((f, self.conjugate_flag(s, f), 1) for f in self.flags)
 
     def count_Y_cell(self, s: Sequence[int], base: Flag, z: Element, w: Element) -> int:
         """#{F : pos(base, F) = z and pos(F, s.F) = w}, base torus-fixed."""

@@ -243,7 +243,8 @@ def _space_checks(n: int, q: int) -> list[Check]:
         # pos(standard, coordinate_flag(z)) = z, so the pair spans cell(z)
         other = space.coordinate_flag(z)
         zi = weyl.inverse(z)
-        # one scan of cell(z) per histogram yields the counts of every w
+        # one walk of cell(z)'s torus orbits per histogram yields the counts
+        # of every w
         pair = space.histogram_Z(base, other)
         cell = space.histogram_Y_cell(s, base, z)
         for w in weyl.elements:

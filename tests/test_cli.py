@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from heckeflag import cli, coxeter, verify
 from heckeflag.coxeter import MAX_FINITE_ORDER, MAX_WORD_LETTERS, CoxeterSystem
-from heckeflag.flag import FLAG_SPACE_MAX_FLAGS, FlagSpace
+from heckeflag.flag import FLAG_SPACE_MAX_FLAGS, FlagSpace, build_space
 from heckeflag.hecke import ROW_MAX_LEN, HeckeAlgebra, HeckeElt
 from heckeflag.poly import ONE, Q_MINUS_ONE
 
@@ -225,21 +225,71 @@ def test_verify_flags_refuses_large_space(monkeypatch):
     assert "510902400 flags" in result.diagnostics[0]
 
 
-def test_verify_flags_scans_once_per_base_pair(monkeypatch):
+def _count_calls(monkeypatch, name):
     calls = [0]
-    original = FlagSpace.relative_position
+    original = getattr(FlagSpace, name)
 
-    def counted(self, f1, f2):
+    def counted(self, *args):
         calls[0] += 1
-        return original(self, f1, f2)
+        return original(self, *args)
 
-    monkeypatch.setattr(FlagSpace, "relative_position", counted)
+    monkeypatch.setattr(FlagSpace, name, counted)
+    return calls
+
+
+def test_verify_flags_scans_once_per_base_pair(monkeypatch):
+    calls = _count_calls(monkeypatch, "relative_position")
     result = cli.run(["verify", "flags", "--n", "3", "--q", "5"])
     assert result.status == "ok"
-    # per base pair (6): z in histogram_Z, then cell(z) scanned once for the
-    # pair counts and once for the cell counts, so 6 + 2 * 186; the totals
-    # add up the cell histograms and scan nothing
-    assert calls[0] == 6 + 2 * 186 == 378
+    # per base pair (6): z in histogram_Z, then one flag per torus orbit of
+    # cell(z) for the pair counts and again for the cell counts (the pair's
+    # translate is a coordinate flag, so both walk the orbits of the whole
+    # torus, 1 + 2 + 2 + 4 + 4 + 11 = 24 of the 186 flags), so 6 + 2 * 24;
+    # the totals add up the cell histograms and scan nothing
+    assert calls[0] == 6 + 2 * 24 == 54
+
+
+def test_verify_flags_gl4_f5_work_counts(monkeypatch):
+    positions = _count_calls(monkeypatch, "relative_position")
+    conjugations = _count_calls(monkeypatch, "conjugate_flag")
+    result = cli.run(["verify", "flags", "--n", "4", "--q", "5"])
+    assert result.status == "ok"
+    # 666 torus orbits in the 24 cells of GL4(F5)'s 29016 flags; one
+    # conjugation per orbit, and one per cell to check that its base is fixed
+    assert positions[0] == 24 + 2 * 666 == 1356
+    assert conjugations[0] == 666 + 24 == 690
+
+
+@pytest.mark.parametrize("kind", ["cell", "pair"])
+def test_verify_flags_detects_a_wrong_orbit_weight(monkeypatch, kind):
+    # one more flag in one orbit of cell(w0) moves exactly the counts of the
+    # w that orbit's flag stands for: the cell count and the total it feeds,
+    # or the fixed-pair count and the cell count compared with it
+    space = build_space(3, 5)
+    w0 = space.weyl.longest_element()
+    original = FlagSpace._orbits
+    hit = []
+
+    def heavier(self, z, ref=None):
+        for k, (f, weight) in enumerate(original(self, z, ref)):
+            if z.word == w0.word and (ref is None) == (kind == "cell") and k == 3:
+                hit.append((f, ref))
+                weight += 1
+            yield f, weight
+
+    monkeypatch.setattr(FlagSpace, "_orbits", heavier)
+    result = cli.run(["verify", "flags", "--n", "3", "--q", "5", "--format", "json"])
+    assert result.exit_code == 2
+    [(f, ref)] = hit
+    if kind == "cell":
+        w = space.relative_position(f, space.conjugate_flag(space.default_torus(), f))
+        names = {"cell=Z z=[{z}] w=[{w}]", "count_Y_total w=[{w}]"}
+    else:
+        w = space.relative_position(ref, f)
+        names = {"count_Z z=[{z}] w=[{w}]", "cell=Z z=[{z}] w=[{w}]"}
+    want = {name.format(z=",".join(map(str, w0.word)), w=",".join(map(str, w.word)))
+            for name in names}
+    assert {c["check"] for c in json.loads(result.payload)["checks"] if not c["ok"]} == want
 
 
 @pytest.mark.parametrize("argv, products", [
@@ -334,10 +384,19 @@ def test_verify_flags_refuses_the_summed_flag_count(monkeypatch):
 
 
 @pytest.mark.parametrize("pairs", [["--n", "2", "--n", "3", "--q", "5"],
-                                   ["--q", "3", "--q", "5"]])
-def test_verify_flags_needs_one_q_per_n(pairs):
+                                   ["--q", "3", "--q", "5"],
+                                   pytest.param(["--n", "3"], id="lone-n"),
+                                   pytest.param(["--q", "7"], id="lone-q")])
+def test_verify_flags_needs_one_q_per_n(monkeypatch, pairs):
+    # the default pair 2 3 stands in only when neither option is given, so a
+    # lone --n or --q is refused before any space is built, not paired with
+    # the other option's default
+    def no_build(n, q):
+        raise AssertionError("a flag space was built")
+
+    monkeypatch.setattr(verify, "build_space", no_build)
     result = cli.run(["verify", "flags", *pairs])
-    assert result.exit_code == 1
+    assert result.exit_code == 1 and result.payload == ""
     assert "one --q per --n" in result.diagnostics[0]
 
 

@@ -5,9 +5,11 @@ defects of stacked prefix matrices, with its own Gaussian elimination."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from heckeflag import flag
 from heckeflag.flag import (
     FLAG_SPACE_MAX_FLAGS, Flag, FlagSpace, build_space, canonical_cols, check_space,
 )
@@ -497,18 +499,19 @@ def test_count_y_cell_scans_the_translated_pairs(monkeypatch):
     scanned = []
     original = FlagSpace._histogram
 
-    def capture(self, pairs):
-        pairs = list(pairs)
-        scanned.extend(pairs)
-        return original(self, pairs)
+    def capture(self, weighted):
+        weighted = list(weighted)
+        scanned.extend(weighted)
+        return original(self, weighted)
 
     monkeypatch.setattr(FlagSpace, "_histogram", capture)
     for base in _fixed_flags(space):
         for z in space.weyl.elements:
             scanned.clear()
             space.histogram_Y_cell(s, base, z)
-            assert len(scanned) == 5**z.length
-            for f, g in scanned:
+            # one pair per torus orbit of cell(z), weighted by the orbit's size
+            assert sum(weight for _, _, weight in scanned) == 5**z.length
+            for f, g, _ in scanned:
                 # the flag base.f that (f, g) stands for
                 moved = space.flag_of_matrix(
                     [[sum(c[k] * base.cols[k][i] for k in range(3)) for i in range(3)]
@@ -519,19 +522,115 @@ def test_count_y_cell_scans_the_translated_pairs(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one flag per torus orbit: the orbits by brute force, the counts by plain scans
+
+
+def _cells(space):
+    """{z: the flags of cell(z)}, each flag filed by the lowest nonzero row of
+    each of its columns, read off its matrix."""
+    by_pivots = {}
+    for f in space.flags:
+        pivots = tuple(max(i for i, x in enumerate(c) if x) for c in f.cols)
+        by_pivots.setdefault(pivots, []).append(f)
+    return {_element_of(space, [p + 1 for p in pivots]): cell
+            for pivots, cell in by_pivots.items()}
+
+
+def _torus(space):
+    """The diagonal torus modulo scalars, which fix every flag: diag(1, t_2, ..., t_n)."""
+    return [(1, *t) for t in itertools.product(range(1, space.q), repeat=space.n - 1)]
+
+
+@pytest.mark.parametrize("n, q, lengths", [(3, 5, None), (3, 7, None), (4, 5, (3, 4))])
+def test_orbits_are_the_torus_orbits(n, q, lengths):
+    # every orbit of the torus elements fixing ref, computed by scaling rows,
+    # has exactly one flag among _orbits(z, ref), weighted by the orbit's size
+    space = build_space(n, q)
+    torus = _torus(space)
+    cells = _cells(space)
+    rng = random.Random(n * q)
+    zs = space.weyl.elements
+    if lengths is not None:
+        zs = rng.sample([z for z in zs if z.length in lengths], 4)
+    seen = set()
+    for z in zs:
+        cell = cells[z]
+        for ref in (None, space.standard_flag, rng.choice(cell), rng.choice(space.flags)):
+            fixing = [t for t in torus if ref is None or _scaled(space, t, ref) == ref]
+            orbit_of = {}
+            for f in cell:
+                if f not in orbit_of:
+                    orbit = frozenset(_scaled(space, t, f) for t in fixing)
+                    orbit_of.update((g, orbit) for g in orbit)
+            reps = list(space._orbits(z, ref))
+            assert {orbit_of[f] for f, _ in reps} == set(orbit_of.values())
+            assert len(reps) == len(set(orbit_of.values()))
+            assert all(weight == len(orbit_of[f]) for f, weight in reps)
+            if 1 < len(fixing) < len(torus):
+                seen.add("partly fixed reference")
+            if any(weight >= (q - 1) ** 2 for _, weight in reps):
+                seen.add("weight (q - 1)^k, k >= 2")
+            if ref is None and len(reps) > 2**z.length:
+                seen.add("cycle")  # an entry inside one component takes q values
+    assert seen == {"partly fixed reference", "weight (q - 1)^k, k >= 2", "cycle"}
+
+
+@pytest.mark.parametrize("n, q, lengths", [(3, 7, None), (4, 5, (2, 3, 4, 5))])
+def test_orbit_counts_match_the_plain_scan(n, q, lengths):
+    # the orbit-weighted cell and fixed-pair histograms against a scan of
+    # every flag of the cell, with the references drawn from the cell
+    space = build_space(n, q)
+    cells = _cells(space)
+    rng = random.Random(q)
+    zs = space.weyl.elements
+    if lengths is not None:
+        zs = rng.sample([z for z in zs if z.length in lengths], 4)
+    pos, base = space.relative_position, space.standard_flag
+    for z in zs:
+        cell = cells[z]
+        for s in (space.default_torus(), tuple(rng.sample(range(1, q), n))):
+            want = Counter(pos(f, _scaled(space, s, f)) for f in cell)
+            assert space.histogram_Y_cell(s, base, z) == dict(want), (s, z.word)
+        for ref in rng.sample(cell, min(3, len(cell))):
+            # the translate of ref against the standard flag is ref itself
+            want = Counter(pos(ref, f) for f in cell)
+            assert space.histogram_Z(base, ref) == dict(want), (ref, z.word)
+
+
+def test_count_z_matches_full_scan_for_arbitrary_bases_gl3_f7():
+    space = build_space(3, 7)
+    rng = random.Random(7)
+    pos = space.relative_position
+    for _ in range(4):
+        base, base2 = rng.sample(space.flags, 2)
+        z = pos(base, base2)
+        want = Counter(pos(base2, f) for f in space.flags if pos(base, f) == z)
+        assert space.histogram_Z(base, base2) == dict(want), (base, base2)
+
+
+def test_orbit_walk_checks_its_weights(monkeypatch):
+    # a walk that skips the first free entry of every column misses flags
+    space = build_space(3, 5)
+    original = flag._free_rows
+    monkeypatch.setattr(flag, "_free_rows", lambda pivots: [r[1:] for r in original(pivots)])
+    with pytest.raises(AssertionError, match="orbits of cell"):
+        next(space._orbits(space.weyl.longest_element()))
+
+
+# ---------------------------------------------------------------------------
 # work counts: deterministic, independent of the machine
 
 
-def count_positions(monkeypatch):
-    """Count FlagSpace.relative_position calls from here on; returns the counter."""
+def count_calls(monkeypatch, name):
+    """Count calls of the FlagSpace method name from here on; returns the counter."""
     calls = [0]
-    original = FlagSpace.relative_position
+    original = getattr(FlagSpace, name)
 
-    def counted(self, f1, f2):
+    def counted(self, *args):
         calls[0] += 1
-        return original(self, f1, f2)
+        return original(self, *args)
 
-    monkeypatch.setattr(FlagSpace, "relative_position", counted)
+    monkeypatch.setattr(FlagSpace, name, counted)
     return calls
 
 
@@ -540,13 +639,17 @@ def test_count_z_scans_one_cell(monkeypatch):
     rng = random.Random(2)
     base = rng.choice(space.flags)
     base2 = next(f for f in space.flags if space.relative_position(base, f).length == 2)
-    calls = count_positions(monkeypatch)
+    calls = count_calls(monkeypatch, "relative_position")
     space.count_Z(base, base2, space.weyl.identity)
-    assert calls[0] == 1 + 5**2  # z itself, then one per flag of cell(z)
+    # z itself, then one per torus orbit of cell(z): base2 is the standard
+    # flag, so its translate is a coordinate flag, fixed by the whole torus,
+    # and the 25 flags of the cell fall into the orbits of 0/1 entries
+    assert calls[0] == 1 + 2**2
 
 
 def test_count_y_total_scans_every_flag_once(monkeypatch):
     space = build_space(3, 5)
-    calls = count_positions(monkeypatch)
+    positions = count_calls(monkeypatch, "relative_position")
+    conjugations = count_calls(monkeypatch, "conjugate_flag")
     space.count_Y_total(space.default_torus(), space.weyl.normal_form((1, 2)))
-    assert calls[0] == len(space.flags) == 186
+    assert positions[0] == conjugations[0] == len(space.flags) == 186
