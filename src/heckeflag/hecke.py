@@ -134,9 +134,9 @@ class HeckeElt:
             return ZERO
         return _decode(self._packed.get(w.index, 0), self._width)
 
-    def values_at(self, q: int) -> dict[Element, int]:
+    def values_at(self, q: int, *, nonzero: bool = False) -> dict[Element, int]:
         """Each term's coefficient evaluated at q = 1 or q = -1; a term whose
-        value is zero may be listed.
+        value is zero may be listed, and is left out when nonzero is true.
 
         A packed coefficient v = p(2^B) is read without decoding: 2^B is 1
         mod 2^B - 1 and -1 mod 2^B + 1, so p(q) is the balanced residue of v
@@ -150,7 +150,8 @@ class HeckeElt:
         out = {}
         for k, v in self._packed.items():
             r = v % modulus
-            out[elements[k]] = r - modulus if r > half else r
+            if r or not nonzero:
+                out[elements[k]] = r - modulus if r > half else r
         return out
 
     def support(self) -> list[Element]:

@@ -5,7 +5,8 @@ Expected values are formulas, not golden files.  ``dihedral_suite()`` checks
 the closed-form diagonal-support sets of I2(4), I2(6), I2(8) and I2(inf);
 ``hecke_suite(type_spec)`` reads w0 membership and top degree, the degree
 bound, positivity, q = 1 and the q = -1 trace from one row T_w * T_z over all
-z per w, and refuses |W| > 400 or l(w0) > 64; ``flags_suite(spaces)`` checks
+z per w, checks the trace against a q = -1 matrix oracle, and refuses
+|W| > 720 or l(w0) > 64; ``flags_suite(spaces)`` checks
 the paper's identity on each GL_n(F_q) in turn: fixed-pair counts equal
 N(w, z^-1, z^-1)(q), cell counts equal fixed-pair counts, whole-space counts
 (the sums of the cell counts) equal the regular trace at q, with every Hecke
@@ -32,10 +33,11 @@ from .poly import ZERO
 __all__ = ["Check", "HECKE_SUITE_MAX_LEN", "HECKE_SUITE_MAX_ORDER", "all_suites",
            "dihedral_suite", "flags_suite", "hecke_suite"]
 
-# the hecke suite does |W|^2 products at a width that grows with l(w0): F4
-# (1152), A5 (720), I2(100) (20 s) and I2(200) would take minutes; B4, the
-# slowest type admitted, takes about 4 s on a 2-vCPU x86 host, as does I2(72)
-HECKE_SUITE_MAX_ORDER = 400
+# the hecke suite does |W|^2 products at a width that grows with l(w0), and
+# its q = -1 oracle |W|^2 sparse steps: on a 2-vCPU x86 host B4 (384) takes
+# about 3 s, A5 (720), the largest type admitted, about 10 s and F4 (1152)
+# about 80 s; I2(m) has l(w0) = m, and I2(64) takes about 1.5 s
+HECKE_SUITE_MAX_ORDER = 720
 HECKE_SUITE_MAX_LEN = 64
 
 
@@ -113,9 +115,13 @@ def _minus_one_traces(system) -> list[int]:
 
     Built from the defining relations alone, independent of HeckeAlgebra:
     at q = -1 the generator acts by T_s e_x = e_{sx} if sx > x, else
-    -e_{sx} - 2 e_x, so each column has at most two nonzeros.  T_w is applied
-    to each basis vector e_z letter by letter, last letter first, and the
-    z-th entries are summed.  Cost O(|W|^2 * l(w0)) steps on sparse vectors.
+    -e_{sx} - 2 e_x, so each column has at most two nonzeros.  Every w != e
+    is s w' with s its first letter and w' = s w one shorter (its canonical
+    word without s, as every suffix of a canonical word is canonical), so
+    T_w e_z = T_s (T_w' e_z).  For each basis vector e_z the walk goes down
+    this suffix tree depth first, one sparse step per w from its parent's
+    vector, and adds the z-th entry to w's trace: |W|^2 steps, each over the
+    support of one vector.
     """
     elements = system.elements
     steps = []
@@ -125,24 +131,33 @@ def _minus_one_traces(system) -> list[int]:
             sx = system.left_mult(x, g)
             row.append((sx.index, sx.length > x.length))
         steps.append(row)
-    traces = []
-    for w in elements:
-        letters = [steps[g - 1] for g in reversed(w.word)]
-        total = 0
-        for z in range(len(elements)):
-            vec = {z: 1}
-            for step in letters:
+    # (w, step of w's first letter) under each w' of the suffix tree
+    children: list[list] = [[] for _ in elements]
+    for w in elements[1:]:
+        s = w.word[0]
+        children[system.left_mult(w, s).index].append((w.index, steps[s - 1]))
+    size = len(elements)
+    traces = [size] + [0] * (size - 1)  # T_e acts as the identity
+    for z in range(size):
+        # (T_w' e_z, the children of w') for each w' whose children wait
+        pending = [({z: 1}, children[0])]
+        while pending:
+            vec, kids = pending.pop()
+            for w, step in kids:
+                # c_x e_x + c_sx e_sx with sx the longer goes to -c_sx e_x +
+                # (c_x - 2 c_sx) e_sx: written from sx when it is present,
+                # else from x
                 out: dict[int, int] = {}
                 for x, c in vec.items():
                     sx, up = step[x]
-                    if up:
-                        out[sx] = out.get(sx, 0) + c
-                    else:
-                        out[sx] = out.get(sx, 0) - c
-                        out[x] = out.get(x, 0) - 2 * c
-                vec = out
-            total += vec.get(z, 0)
-        traces.append(total)
+                    if not up:
+                        out[sx] = -c
+                        out[x] = vec.get(sx, 0) - 2 * c
+                    elif sx not in vec:
+                        out[sx] = c
+                traces[w] += out.get(z, 0)
+                if children[w]:
+                    pending.append((out, children[w]))
     return traces
 
 
@@ -160,17 +175,27 @@ def hecke_suite(type_spec: str = "A3") -> list[Check]:
         )
     algebra = HeckeAlgebra(system)
     elements = system.elements
+    rmult, last = system._rmult, system._last
     suite = f"hecke[{type_spec}]"
 
     # one row T_w * T_z over all z per w feeds every check
     bad_membership, bad_top, bad_deg, bad_pos, bad_q1 = [], [], [], [], []
     traces = []
+    wz = [0] * len(elements)  # w z by the index of z, for the z walked so far
+    # diagonal entries repeat across the rows (B3's 580 nonzero ones take 50
+    # values): each distinct one is evaluated at q = -1 and q in {2, 3, 4} once
+    evaluated: dict = {}
     for w in elements:
         trace, diag_sum = ZERO, 0
+        wz[0] = w.index
         for z, prod in algebra.row_products(w):
+            x = z.index
+            if x:
+                # z = z' s with z' = z s visited before z, so wz = (wz') s
+                col = rmult[last[x] - 1]
+                wz[x] = col[wz[col[x]]]
             entry = prod.coefficient(z)
-            diag_sum += entry(-1)
-            if z == w0:
+            if z is w0:
                 # the longest element always carries a nonzero constant of
                 # top degree
                 if not entry:
@@ -179,21 +204,25 @@ def hecke_suite(type_spec: str = "A3") -> list[Check]:
                     bad_top.append(w.to_json())
             # diagonal degrees are bounded by l(w) and positive at small q
             if entry:
+                if entry not in evaluated:
+                    evaluated[entry] = (entry(-1), [m for m in (2, 3, 4) if entry(m) <= 0])
+                at_minus_one, nonpositive = evaluated[entry]
                 trace += entry
+                diag_sum += at_minus_one
                 if entry.degree > w.length:
                     bad_deg.append((w.to_json(), z.to_json()))
-                for m in (2, 3, 4):
-                    if entry(m) <= 0:
-                        bad_pos.append((w.to_json(), z.to_json(), m))
+                for m in nonpositive:
+                    bad_pos.append((w.to_json(), z.to_json(), m))
             # specializing q = 1 degenerates to the group algebra: T_{wz} alone
-            # (a stored zero for wz reads 0, so it counts as missing)
-            wz = system.multiply(w, z)
-            ones = prod.values_at(1)
-            wrong = [x for x, v in ones.items() if v != (1 if x == wz else 0)]
-            if wz not in ones:
-                wrong.append(wz)
-            for x in sorted(wrong, key=lambda e: e.index):
-                bad_q1.append((w.to_json(), z.to_json(), x.to_json()))
+            # (a zero for wz is not listed, so it counts as missing)
+            ones = prod.values_at(1, nonzero=True)
+            want = elements[wz[x]]
+            if len(ones) != 1 or ones.get(want) != 1:
+                wrong = [y for y, v in ones.items() if v != 1 or y is not want]
+                if want not in ones:
+                    wrong.append(want)
+                for y in sorted(wrong, key=lambda e: e.index):
+                    bad_q1.append((w.to_json(), z.to_json(), y.to_json()))
         traces.append((trace(-1), diag_sum))
     # the row runs lexicographically; findings go in (w, z) element order,
     # by length then lexicographic (a stable sort keeps each pair's order)

@@ -498,7 +498,8 @@ def test_verify_hecke_findings_keep_element_order(monkeypatch):
 
 
 @pytest.mark.parametrize("label, order", [
-    ("F4", 1152), ("A5", 720), ("I2(65)", 130), ("I2(200)", 400)])
+    ("F4", 1152), ("A6", 5040), ("B5", 3840), ("D5", 1920), ("I2(65)", 130),
+    ("I2(200)", 400)])
 def test_verify_hecke_refuses_large_groups(monkeypatch, label, order):
     # a missing guard fails fast here instead of running for minutes; I2(m)
     # is refused on l(w0) = m > 64 (I2(100) took 20 s, I2(200) over 400 s)
@@ -513,6 +514,64 @@ def test_verify_hecke_refuses_large_groups(monkeypatch, label, order):
     assert str(order) in result.diagnostics[0]
     assert str(verify.HECKE_SUITE_MAX_ORDER) in result.diagnostics[0]
     assert f"l(w0) <= {verify.HECKE_SUITE_MAX_LEN}" in result.diagnostics[0]
+
+
+class _FirstProduct(Exception):
+    pass
+
+
+def test_verify_hecke_admits_a5(monkeypatch):
+    # A5 (720 elements, l(w0) = 15) passes the guard: the suite gets as far
+    # as its first product, which stops it
+    def first_product(self, a, b):
+        raise _FirstProduct
+
+    monkeypatch.setattr(HeckeAlgebra, "product", first_product)
+    with pytest.raises(_FirstProduct):
+        cli.run(["verify", "hecke", "--type", "A5"])
+
+
+@pytest.mark.parametrize("label", ["F4", "B4"])
+def test_minus_one_oracle_suffix_tree(label):
+    # the q = -1 oracle walks w = s w' from w' = s w, s the first letter of
+    # w: every w != e has exactly one such parent, the element spelled by its
+    # canonical word without the first letter, one shorter
+    system = coxeter.build_system(label)
+    for w in system.elements[1:]:
+        parents = [g for g in range(1, system.rank + 1)
+                   if (g,) + system.left_mult(w, g).word == w.word]
+        assert parents == [w.word[0]], w.word
+
+
+@pytest.mark.parametrize("label", ["G2", "D4", "I2(5)"])
+def test_minus_one_oracle_matches_regular_trace(label):
+    system = coxeter.build_system(label)
+    algebra = HeckeAlgebra(system)
+    assert verify._minus_one_traces(system) == [
+        algebra.regular_trace(w)(-1) for w in system.elements]
+
+
+def test_verify_hecke_d4_detects_trace_mismatch(monkeypatch):
+    # the shifted walk of test_verify_hecke_detects_trace_mismatch on D4, a
+    # type that verify all does not run: every w != e is reported, with the
+    # row's trace and diagonal sum at q = -1 two below the oracle's
+    original = HeckeAlgebra.row_products
+
+    def shifted(self, w, max_len=None):
+        e = self.system.identity
+        for z, h in original(self, w, max_len):
+            yield z, (h + Q_MINUS_ONE * self.t_basis(e) if z == e != w else h)
+
+    monkeypatch.setattr(HeckeAlgebra, "row_products", shifted)
+    result = cli.run(["verify", "hecke", "--type", "D4", "--format", "json"])
+    assert result.exit_code == 2
+    checks = {c["check"]: c for c in json.loads(result.payload)["checks"]}
+    assert [name for name, c in checks.items() if not c["ok"]] == ["q=-1 trace mismatches"]
+    system = coxeter.build_system("D4")
+    bad = checks["q=-1 trace mismatches"]["observed"]
+    assert len(bad) == 191
+    assert bad == [[w.to_json(), t, t - 2, t - 2] for w, t in
+                   zip(system.elements[1:], verify._minus_one_traces(system)[1:])]
 
 
 @pytest.mark.parametrize("command", ["trace", "eset"])

@@ -765,12 +765,14 @@ def _assert_bounds_hold(h):
 
 def _assert_values_at_pm1(h, want):
     # values_at reads every term of the packed h at q = +-1: each term of
-    # want is listed, and the nonzero values are want's
+    # want is listed, and the nonzero values are want's, which are all that
+    # nonzero=True lists
     for q in (1, -1):
         values = h.values_at(q)
+        nonzero = {x: p(q) for x, p in want.items() if p(q)}
         assert set(want) <= set(values)
-        assert {x: v for x, v in values.items() if v} == {
-            x: p(q) for x, p in want.items() if p(q)}
+        assert {x: v for x, v in values.items() if v} == nonzero
+        assert h.values_at(q, nonzero=True) == nonzero
 
 
 def _step_in_place(H, h, gen, move):
@@ -853,6 +855,8 @@ def test_values_at_an_element_built_from_terms():
     h = HeckeElt(H, {s1: Q_MINUS_ONE, s12: IntPoly((3, 0, 2))})
     assert h.values_at(1) == {s1: 0, s12: 5}
     assert h.values_at(-1) == {s1: -2, s12: 5}
+    assert h.values_at(1, nonzero=True) == {s12: 5}
+    assert h.values_at(-1, nonzero=True) == {s1: -2, s12: 5}
     for q in (0, 2, -2):
         with pytest.raises(ValueError, match="q = 1 or q = -1"):
             h.values_at(q)
