@@ -121,7 +121,9 @@ def _minus_one_traces(system) -> list[int]:
     T_w e_z = T_s (T_w' e_z).  For each basis vector e_z the walk goes down
     this suffix tree depth first, one sparse step per w from its parent's
     vector, and adds the z-th entry to w's trace: |W|^2 steps, each over the
-    support of one vector.
+    support of one vector, except that a leaf of the tree (a third of the
+    elements) needs only its z-th entry, read from the two entries of the
+    parent's vector at z and s z.
     """
     elements = system.elements
     steps = []
@@ -145,8 +147,13 @@ def _minus_one_traces(system) -> list[int]:
             vec, kids = pending.pop()
             for w, step in kids:
                 # c_x e_x + c_sx e_sx with sx the longer goes to -c_sx e_x +
-                # (c_x - 2 c_sx) e_sx: written from sx when it is present,
-                # else from x
+                # (c_x - 2 c_sx) e_sx; the trace reads the z-th entry alone
+                sz, up = step[z]
+                traces[w] += -vec.get(sz, 0) if up else vec.get(sz, 0) - 2 * vec.get(z, 0)
+                if not children[w]:
+                    continue
+                # the whole vector, for the children: each pair written from
+                # sx when it is present, else from x
                 out: dict[int, int] = {}
                 for x, c in vec.items():
                     sx, up = step[x]
@@ -155,9 +162,7 @@ def _minus_one_traces(system) -> list[int]:
                         out[x] = vec.get(sx, 0) - 2 * c
                     elif sx not in vec:
                         out[sx] = c
-                traces[w] += out.get(z, 0)
-                if children[w]:
-                    pending.append((out, children[w]))
+                pending.append((out, children[w]))
     return traces
 
 
