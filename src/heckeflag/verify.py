@@ -34,9 +34,9 @@ __all__ = ["Check", "HECKE_SUITE_MAX_LEN", "HECKE_SUITE_MAX_ORDER", "all_suites"
            "dihedral_suite", "flags_suite", "hecke_suite"]
 
 # the hecke suite does |W|^2 products at a width that grows with l(w0), and
-# its q = -1 oracle |W|^2 sparse steps: on a 2-vCPU x86 host B4 (384) takes
-# about 3 s, A5 (720), the largest type admitted, about 10 s and F4 (1152)
-# about 80 s; I2(m) has l(w0) = m, and I2(64) takes about 1.5 s
+# its q = -1 oracle up to |W|^2 sparse steps: on a 2-vCPU x86 host B4 (384)
+# takes about 2.5 s, A5 (720), the largest type admitted, about 7 s and F4
+# (1152) about 61 s; I2(m) has l(w0) = m, and I2(64) takes about 1.6 s
 HECKE_SUITE_MAX_ORDER = 720
 HECKE_SUITE_MAX_LEN = 64
 
