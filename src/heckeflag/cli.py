@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -218,6 +219,7 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="heckeflag", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -35,20 +35,23 @@ the Coxeter system A_{n-1} by sending generator i to the transposition
 orientation used here is validated by the count identities in the test suite
 before any larger run.
 
-The flags are enumerated Bruhat cell by Bruhat cell: cell(z), the flags F
-with pos(standard, F) = z, are the q^l(z) canonical matrices whose pivot rows
-spell z.  Column j of such a matrix is 1 at its pivot row, 0 below it and at
-the pivot rows of the columns before it, and free elsewhere (``_free_rows``),
-so its choices depend on no other column and the cell is the product of each
-column's interned choices.  The counts read one cell, not every flag, after
-moving their base flag to the standard flag by an exact group identity.  With
-g the matrix of base, {F : pos(base, F) = z} = g.cell(z) and
-pos(base2, g.F) = pos(g^-1.base2, F).  A torus-fixed base is P_v.standard for
-a permutation matrix P_v, and conjugating P_v.F by diag(s) is P_v times F
-conjugated by the permuted diagonal s'_j = s_{v(j)}.  Conjugation maps
-columns one by one: scaling the rows of a canonical column by the units s
-keeps every zero, so its pivot row stays, and dividing by the pivot entry
-gives a vector whose lowest nonzero entry is 1, another interned column.
+The space stores no flag: ``space.flags`` has the q-factorial as its length
+and builds the flags Bruhat cell by Bruhat cell when iterated.  Cell(z), the
+flags F with pos(standard, F) = z, are the q^l(z) canonical matrices whose
+pivot rows spell z.  Column j of such a matrix is 1 at its pivot row, 0 below
+it and at the pivot rows of the columns before it, and free elsewhere, so the
+cell is the product of each column's interned choices.  Each flag the space
+builds carries its pivot rows; a caller's flag is checked to be canonical,
+and every flag's columns are looked up among the space's.  The counts read
+one cell, not every flag, after moving their base flag to the standard flag
+by an exact group identity.  With g the matrix of base,
+{F : pos(base, F) = z} = g.cell(z) and pos(base2, g.F) = pos(g^-1.base2, F).
+A torus-fixed base is P_v.standard for a permutation matrix P_v, and
+conjugating P_v.F by diag(s) is P_v times F conjugated by the permuted
+diagonal s'_j = s_{v(j)}.  Conjugation maps columns one by one: scaling the
+rows of a canonical column by the units s keeps every zero, so its pivot row
+stays, and dividing by the pivot entry gives a vector whose lowest nonzero
+entry is 1, another interned column.
 
 A cell is not scanned flag by flag but one flag per torus orbit.  The
 diagonal torus T fixes the standard flag, so it maps every cell to itself:
@@ -68,7 +71,8 @@ entry inside one component is fixed by them, so each of its q values starts
 an orbit of its own.  Each entry's choices thus weigh q in all, the weights
 of a cell add up to q^l(z), and the walk checks that they do.  Every count is
 a histogram of relative positions weighted by orbit size, exact and
-deterministic; the whole-space count scans every flag with weight 1.
+deterministic; the whole-space count iterates ``space.flags``, every flag
+with weight 1.
 
     >>> len(build_space(3, 5).flags)
     186
@@ -76,9 +80,10 @@ deterministic; the whole-space count scans every flag with weight 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from itertools import chain, repeat, product as iter_product
+from math import isqrt
+from typing import Iterable, Iterator, Sequence
 
 from .coxeter import CoxeterSystem, Element, build_system
 
@@ -92,31 +97,48 @@ Matrix = tuple[Column, ...]  # tuple of columns
 # GL4(F7) has 182 400 flags; GL5(F7) has 510 902 400 and is refused
 FLAG_SPACE_MAX_FLAGS = 200_000
 
+_FOREIGN = "flag does not belong to this space"
+
 
 @dataclass(frozen=True, slots=True)
 class Flag:
-    """A complete flag, as the canonical column matrix described above."""
+    """A complete flag, as the canonical column matrix described above.  Flags a
+    FlagSpace builds carry their pivot rows, which == ignores and Flag() cannot set."""
 
     cols: Matrix
+    _pivots: tuple[int, ...] | None = field(default=None, init=False, compare=False)
 
     def __repr__(self):
-        rows = len(self.cols[0])
-        body = ";".join(
-            " ".join(str(self.cols[j][i]) for j in range(len(self.cols)))
-            for i in range(rows)
-        )
-        return f"Flag[{body}]"
+        return f"Flag[{';'.join(' '.join(map(str, row)) for row in zip(*self.cols))}]"
+
+
+# the slots' own setters, which the frozen guard does not see
+_set_cols, _set_pivots = Flag.cols.__set__, Flag._pivots.__set__
+
+
+def _flag(cols: Matrix, pivots: tuple[int, ...]) -> Flag:
+    """The flag of the canonical matrix cols, carrying its pivot rows."""
+    f = object.__new__(Flag)
+    _set_cols(f, cols)
+    _set_pivots(f, pivots)
+    return f
+
+
+@dataclass(frozen=True, slots=True)
+class _Flags:
+    """The flags of a space, built cell by cell in weyl.elements order."""
+
+    space: FlagSpace
+
+    def __len__(self) -> int:
+        return self.space._count
+
+    def __iter__(self) -> Iterator[Flag]:
+        return chain.from_iterable(map(self.space._cell, self.space.weyl.elements))
 
 
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
+    return q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))
 
 
 def check_space(n: int, q: int) -> int:
@@ -153,26 +175,18 @@ def canonical_cols(cols: Sequence[Sequence[int]], q: int) -> Matrix:
     then scales the lowest remaining nonzero entry to 1.  Raises if the matrix
     is singular.
     """
-    n = len(cols)
-    work = [[c % q for c in col] for col in cols]
+    work: list[Column] = []
     pivots: list[int] = []
-    for j in range(n):
-        col = work[j]
-        for jp in range(j):
-            factor = col[pivots[jp]]
+    for col in cols:
+        col = [c % q for c in col]
+        for p, prev in zip(pivots, work):
+            factor = col[p]
             if factor:
-                prev = work[jp]
-                for i in range(n):
-                    if prev[i]:
-                        col[i] = (col[i] - factor * prev[i]) % q
-        pivot = _pivot(col)
-        inv = pow(col[pivot], q - 2, q)
-        if inv != 1:
-            for i in range(n):
-                if col[i]:
-                    col[i] = col[i] * inv % q
-        pivots.append(pivot)
-    return tuple(tuple(col) for col in work)
+                col = [(x - factor * y) % q for x, y in zip(col, prev)]
+        pivots.append(_pivot(col))
+        inv = pow(col[pivots[-1]], q - 2, q)
+        work.append(tuple([x * inv % q for x in col]))
+    return tuple(work)
 
 
 def _pivot(col: Sequence[int]) -> int:
@@ -223,7 +237,7 @@ def _solve(pivots: Sequence[int], basis: Sequence[int], cols: Iterable[int], q: 
 
 def _position(pivots: Sequence[int], basis: Sequence[int], cols: Sequence[int], q: int,
               width: int) -> tuple[int, ...]:
-    """The relative position of F and F' as a one-line permutation: one plus
+    """The relative position of F and F' as a one-line permutation from 0:
     the pivot row of each column of the column reduction of inverse(F) * F'.
     F is given by its pivot rows and packed columns, F' by its packed columns."""
     n = len(pivots)
@@ -241,8 +255,8 @@ def _position(pivots: Sequence[int], basis: Sequence[int], cols: Sequence[int], 
         while not col[p]:
             p -= 1
         done.append((p, col))
-        perm.append(p + 1)
-    perm.append(n * (n + 1) // 2 - sum(perm))
+        perm.append(p)
+    perm.append(n * (n - 1) // 2 - sum(perm))
     return tuple(perm)
 
 
@@ -255,12 +269,12 @@ class _ScaledColumns(dict):
 
     def __init__(self, s: tuple[int, ...], q: int, columns: dict[Column, Column]):
         super().__init__()
-        self.s = s
-        self.q = q
+        self.s, self.q, self.columns = s, q, columns
         self.inverse = [pow(x, q - 2, q) for x in s]
-        self.columns = columns
 
     def __missing__(self, col: Column) -> Column:
+        if col not in self.columns:
+            raise ValueError(_FOREIGN)
         q = self.q
         scale = self.inverse[_pivot(col)]
         scaled = tuple([x * si * scale % q for x, si in zip(col, self.s)])
@@ -270,76 +284,55 @@ class _ScaledColumns(dict):
 class FlagSpace:
     """All complete flags in F_q^n, with relative-position machinery.
 
-    The Weyl group is the Coxeter system A_{n-1}; permutations are one-line
-    tuples p with p[j-1] = image of j.  The flags and their interned columns
-    are fixed at construction, and counts are pure scans.  The one
-    state that changes is a memo no caller can see: the column map of the last
-    torus conjugate_flag was given, validated and rebuilt whenever the torus
-    changes, so every result is the one a fresh space gives.
+    The Weyl group is the Coxeter system A_{n-1}; w is held as the pivot rows
+    of cell(w), the one-line permutation with entry j the image of j, both
+    counted from 0.  The space stores no flag, only its interned columns (see
+    the module docstring).  The one state that changes is a memo no caller
+    can see: the column map of the last torus conjugate_flag was given,
+    validated and rebuilt whenever the torus changes, so every result is the
+    one a fresh space gives.
     """
 
     def __init__(self, n: int, q: int):
-        expected = check_space(n, q)
+        self._count = check_space(n, q)
         self.n = n
         self.q = q
         self.weyl: CoxeterSystem = build_system(f"A{n - 1}")
 
-        self._perm_of: dict[Element, tuple[int, ...]] = {}
-        self._elt_of: dict[tuple[int, ...], Element] = {}
+        self._rows: dict[Element, tuple[int, ...]] = {}
         for w in self.weyl.elements:
-            perm = list(range(1, n + 1))
+            rows = list(range(n))
             for g in w.word:
-                perm[g - 1], perm[g] = perm[g], perm[g - 1]
-            self._perm_of[w] = tuple(perm)
-            self._elt_of[tuple(perm)] = w
+                rows[g - 1], rows[g] = rows[g], rows[g - 1]
+            self._rows[w] = tuple(rows)
+        self._elt_of = {rows: w for w, rows in self._rows.items()}
 
-        self._width = _lane_width(n, q)
+        width = self._width = _lane_width(n, q)
         # every canonical column, interned: maps a column to its one shared
         # tuple, and _packed maps it to its packed int
         self._columns: dict[Column, Column] = {}
         self._packed: dict[Column, int] = {}
+        for p in range(n):
+            for above in iter_product(range(q), repeat=p):
+                col = (*above, 1) + (0,) * (n - 1 - p)
+                self._columns[col] = col
+                self._packed[col] = _pack(col, width)
         # the column map of the last torus conjugate_flag validated
         self._scaled: _ScaledColumns | None = None
-        self.flags: list[Flag] = []
-        # the pivot row of each column, one tuple shared by a cell; the keys
-        # are the members of the space
-        self._pivots: dict[Matrix, tuple[int, ...]] = {}
-        for pivots, cell in self._enumerate_flags():
-            self.flags += cell
-            for f in cell:
-                self._pivots[f.cols] = pivots
-        if len(self.flags) != expected:
-            raise AssertionError("flag enumeration does not match the q-factorial")
-        if len(self._pivots) != len(self.flags):
-            raise AssertionError("flag enumeration has duplicates")
-        if len(self._columns) != (q**n - 1) // (q - 1):
-            raise AssertionError("flag columns miss a point of the projective space")
 
-    def _enumerate_flags(self):
-        """Yield (pivot rows, the flags of cell(z)) in weyl.elements order.
+    @property
+    def flags(self) -> _Flags:
+        """Every flag of the space, built cell by cell on each iteration."""
+        return _Flags(self)
 
-        Each column's choices are interned as they are built, and the cell is
-        their product in the order of the free entries, the last one fastest.
-        """
-        n, q, width = self.n, self.q, self._width
-        columns, packed = self._columns, self._packed
-        for w in self.weyl.elements:
-            pivots = tuple(p - 1 for p in self._perm_of[w])  # pivot row of each column, 0-based
-            choices = []
-            for p, free in zip(pivots, _free_rows(pivots)):
-                options = []
-                for values in iter_product(range(q), repeat=len(free)):
-                    col = [0] * n
-                    col[p] = 1
-                    for i, v in zip(free, values):
-                        col[i] = v
-                    col = tuple(col)
-                    if col not in columns:
-                        columns[col] = col
-                        packed[col] = _pack(col, width)
-                    options.append(columns[col])
-                choices.append(options)
-            yield pivots, [Flag(cols) for cols in iter_product(*choices)]
+    def _cell(self, z: Element) -> Iterator[Flag]:
+        """The flags of cell(z), the last free entry fastest: each column takes
+        the columns with its pivot row that are 0 at the earlier pivot rows."""
+        n, q, pivots = self.n, self.q, self._rows[z]
+        choices = [[self._columns[(*above, 1) + (0,) * (n - 1 - p)] for above in iter_product(
+                        *[(0,) if r in pivots[:j] else range(q) for r in range(p)])]
+                   for j, p in enumerate(pivots)]
+        return map(_flag, iter_product(*choices), repeat(pivots))
 
     # -- basic maps ----------------------------------------------------------
 
@@ -349,16 +342,15 @@ class FlagSpace:
 
     def coordinate_flag(self, w: Element) -> Flag:
         """The flag spanned by the permuted standard basis for w."""
-        perm = self._perm_of[w]
-        n = self.n
-        cols = tuple(
-            tuple(1 if i == perm[j] - 1 else 0 for i in range(n)) for j in range(n)
-        )
-        return Flag(cols)
+        pivots = self._rows[w]
+        return _flag(tuple(tuple(int(i == p) for i in range(self.n)) for p in pivots), pivots)
 
     def flag_of_matrix(self, cols: Sequence[Sequence[int]]) -> Flag:
-        """Canonicalize an arbitrary invertible matrix into a Flag."""
-        return Flag(canonical_cols(cols, self.q))
+        """Canonicalize an arbitrary invertible n x n matrix into a Flag."""
+        cols = canonical_cols(cols, self.q)
+        if len(cols) != self.n:  # the flag would carry too few pivot rows
+            raise ValueError(_FOREIGN)
+        return _flag(cols, tuple(map(_pivot, cols)))
 
     def default_torus(self) -> tuple[int, ...]:
         """diag(1, 2, ..., n): distinct nonzero residues since q > n."""
@@ -367,12 +359,10 @@ class FlagSpace:
     def _check_torus(self, s: Sequence[int]):
         if len(s) != self.n:
             raise ValueError("diagonal length must equal n")
-        residues = [x % self.q for x in s]
-        if 0 in residues or len(set(residues)) != self.n:
-            raise ValueError(
-                "not regular semisimple: diagonal entries must be distinct "
-                "and nonzero mod q"
-            )
+        residues = {x % self.q for x in s}
+        if 0 in residues or len(residues) != self.n:
+            raise ValueError("not regular semisimple: diagonal entries must be distinct "
+                             "and nonzero mod q")
 
     def conjugate_flag(self, s: Sequence[int], f: Flag) -> Flag:
         """The flag of s B s^{-1} for B the stabilizer of f: the flag s.f.
@@ -385,30 +375,37 @@ class FlagSpace:
         if scaled is None or scaled.s != key:
             self._check_torus(key)
             scaled = self._scaled = _ScaledColumns(key, self.q, self._columns)
-        self._pivots_of(f)
-        return Flag(tuple([scaled[c] for c in f.cols]))
+        pivots = f._pivots or self._read(f)[0]
+        # scaling keeps every pivot row; scaled refuses a column not of this space
+        return _flag(tuple([scaled[c] for c in f.cols]), pivots)
 
     # -- relative position -----------------------------------------------------
 
-    def _pivots_of(self, f: Flag) -> tuple[int, ...]:
+    def _read(self, f: Flag) -> tuple[tuple[int, ...], list[int]]:
+        """The pivot rows and packed columns of f.  Raises ValueError unless
+        its columns are this space's and, if f carries no pivot rows, f is
+        canonical: each pivot row zero in all later columns, so invertible."""
         try:
-            return self._pivots[f.cols]
+            packed = [self._packed[c] for c in f.cols]
         except KeyError:
-            raise ValueError("flag does not belong to this space") from None
+            raise ValueError(_FOREIGN) from None
+        pivots = f._pivots
+        if pivots is None:
+            pivots = tuple(map(_pivot, f.cols))
+            if len(pivots) != self.n or any(
+                    c[p] for j, p in enumerate(pivots) for c in f.cols[j + 1:]):
+                raise ValueError(_FOREIGN)
+        return pivots, packed
 
     def _coordinates(self, f: Flag, g: Flag) -> list[list[int]]:
         """The columns of inverse(f) * g, reduced mod q."""
-        packed = self._packed
-        return _solve(self._pivots_of(f), [packed[c] for c in f.cols],
-                      [packed[c] for c in g.cols], self.q, self._width)
+        return _solve(*self._read(f), self._read(g)[1], self.q, self._width)
 
     def relative_position(self, f1: Flag, f2: Flag) -> Element:
         """The permutation w with incidence profile r_ij = [i = w(j)]."""
-        pivots = self._pivots_of(f1)
-        self._pivots_of(f2)  # membership: the reduction trusts f2 to be invertible
-        packed = self._packed
-        return self._elt_of[_position(pivots, [packed[c] for c in f1.cols],
-                                      [packed[c] for c in f2.cols], self.q, self._width)]
+        pivots, basis = self._read(f1)
+        # f2 is read in full: the reduction trusts it to be invertible
+        return self._elt_of[_position(pivots, basis, self._read(f2)[1], self.q, self._width)]
 
     # -- counts ----------------------------------------------------------------
 
@@ -432,13 +429,13 @@ class FlagSpace:
         AssertionError, yielding nothing, unless the weights add up to q^l(z).
         """
         try:
-            pivots = tuple(p - 1 for p in self._perm_of[z])
+            pivots = self._rows[z]
         except KeyError:
             raise ValueError(f"{z!r} is not in the Weyl group of this space") from None
         n, q = self.n, self.q
         label = tuple(range(n))
         if ref is not None:
-            for p, col in zip(self._pivots_of(ref), ref.cols):
+            for p, col in zip(self._read(ref)[0], ref.cols):
                 for i, x in enumerate(col):
                     if x:
                         label = _join(label, i, p)
@@ -467,14 +464,14 @@ class FlagSpace:
                 for i in rows:
                     col[i] = next(entries)
                 cols.append(columns[tuple(col)])
-            yield Flag(tuple(cols)), weight
+            yield _flag(tuple(cols), pivots), weight
 
     def histogram_Y_cell(self, s: Sequence[int], base: Flag, z: Element) -> dict[Element, int]:
         """{w: #{F : pos(base, F) = z and pos(F, s.F) = w}}, base torus-fixed."""
         if self.conjugate_flag(s, base) != base:
             raise ValueError("base flag is not torus-fixed")
         # base = P_v.standard, and s P_v = P_v s' with s'_j = s at the pivot of column j
-        permuted = tuple(s[p] for p in self._pivots_of(base))
+        permuted = tuple(s[p] for p in self._read(base)[0])
         # the whole torus commutes with diag(permuted) and maps cell(z) to itself
         return self._histogram(
             (f, self.conjugate_flag(permuted, f), weight) for f, weight in self._orbits(z)
@@ -511,9 +508,9 @@ class FlagSpace:
 
 
 def build_space(n: int, q: int) -> FlagSpace:
-    """Enumerate the complete flags of F_q^n (q prime, 2 <= n <= q - 1).
+    """The space of complete flags of F_q^n (q prime, 2 <= n <= q - 1).
 
-    Raises ValueError from check_space before any enumeration, in particular
+    Raises ValueError from check_space before any set-up, in particular
     when the q-factorial flag count exceeds FLAG_SPACE_MAX_FLAGS.
     """
     return FlagSpace(n, q)

@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckeflag import cli, coxeter, verify
+from heckeflag import cli, coxeter, flag, verify
 from heckeflag.coxeter import MAX_FINITE_ORDER, MAX_WORD_LETTERS, CoxeterSystem
 from heckeflag.flag import FLAG_SPACE_MAX_FLAGS, FlagSpace, build_space
 from heckeflag.hecke import ROW_MAX_LEN, HeckeAlgebra, HeckeElt
@@ -215,11 +215,12 @@ def test_verify_flags_csv_schema():
     assert any(row[3] == "total" for row in rows[1:])
 
 
-def test_verify_flags_refuses_large_space(monkeypatch):
-    def no_enumeration(self):
-        raise AssertionError("flag enumeration started")
+def _no_columns(col, width):
+    raise AssertionError("column interning started")
 
-    monkeypatch.setattr(FlagSpace, "_enumerate_flags", no_enumeration)
+
+def test_verify_flags_refuses_large_space(monkeypatch):
+    monkeypatch.setattr(flag, "_pack", _no_columns)
     result = cli.run(["verify", "flags", "--n", "5", "--q", "7"])
     assert result.exit_code == 1
     assert "510902400 flags" in result.diagnostics[0]
@@ -258,6 +259,18 @@ def test_verify_flags_gl4_f5_work_counts(monkeypatch):
     # conjugation per orbit, and one per cell to check that its base is fixed
     assert positions[0] == 24 + 2 * 666 == 1356
     assert conjugations[0] == 666 + 24 == 690
+
+
+def test_verify_flags_never_enumerates_a_space(monkeypatch):
+    # every count walks torus orbits; the cell iterator behind space.flags,
+    # which builds every flag, is never called
+    def no_cell(self, z):
+        raise AssertionError("a whole cell was enumerated")
+
+    monkeypatch.setattr(FlagSpace, "_cell", no_cell)
+    result = cli.run(["verify", "flags", "--n", "4", "--q", "7"])
+    assert result.exit_code == 0
+    assert result.payload.endswith("1176 checks, 0 mismatches\n")
 
 
 @pytest.mark.parametrize("kind", ["cell", "pair"])
@@ -362,10 +375,7 @@ def test_verify_flags_refuses_any_pair():
 
 
 def test_verify_flags_refuses_a_later_pair_before_any_space(monkeypatch):
-    def no_enumeration(self):
-        raise AssertionError("flag enumeration started")
-
-    monkeypatch.setattr(FlagSpace, "_enumerate_flags", no_enumeration)
+    monkeypatch.setattr(flag, "_pack", _no_columns)
     result = cli.run(["verify", "flags", "--n", "2", "--q", "3", "--n", "5", "--q", "7"])
     assert result.exit_code == 1
     assert "510902400 flags" in result.diagnostics[0]
@@ -777,6 +787,31 @@ def test_payloads_are_deterministic():
         ["verify", "dihedral", "--format", "csv"],
     ):
         assert cli.run(argv).payload == cli.run(argv).payload
+
+
+def test_one_parser_serves_every_run():
+    # the parser is built once: runs with different repeated --n/--q pairs,
+    # usage errors and a help request between them, each give what a freshly
+    # built parser gives
+    sequence = [
+        ["verify", "flags", "--n", "2", "--q", "3", "--n", "2", "--q", "5", "--format", "csv"],
+        ["verify", "flags", "--n", "3", "--q", "5"],
+        ["verify", "flags", "--n", "x", "--q", "3"],
+        ["verify", "flags", "--n", "2", "--q", "7", "--n", "3", "--q", "5", "--format", "json"],
+        ["verify", "flags", "--help"],
+        ["verify", "flags"],
+        ["trace", "--type", "A2", "--bogus"],
+        ["verify", "flags", "--n", "2", "--q", "5", "--n", "2", "--q", "3"],
+        ["verify", "flags", "--n", "3", "--q", "5"],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    cached = [cli.run(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(cli.run(argv))
+    assert cached == fresh
+    assert [r.exit_code for r in cached] == [0, 0, 1, 0, 0, 0, 1, 0, 0]
 
 
 def test_main_writes_payload_to_stdout(capsys):

@@ -115,18 +115,19 @@ def test_build_space_preconditions():
         build_space(5, 5)
 
 
-def _no_enumeration(self):
-    raise AssertionError("flag enumeration started")
+def _no_columns(col, width):
+    raise AssertionError("column interning started")
 
 
 def test_build_space_size_guard(monkeypatch):
-    # the guard reads the q-factorial alone: no large enumeration ever starts
-    monkeypatch.setattr(FlagSpace, "_enumerate_flags", _no_enumeration)
+    # the guard reads the q-factorial alone: no space is set up, and no
+    # column interned, before a refusal
+    monkeypatch.setattr(flag, "_pack", _no_columns)
     bound = FLAG_SPACE_MAX_FLAGS
     with pytest.raises(ValueError, match=f"510902400 flags exceed the bound {bound}"):
         build_space(5, 7)
-    # GL4(F7), 182 400 flags, passes the guard and reaches the enumeration
-    with pytest.raises(AssertionError, match="enumeration started"):
+    # GL4(F7), 182 400 flags, passes the guard and reaches the columns
+    with pytest.raises(AssertionError, match="column interning started"):
         build_space(4, 7)
 
 
@@ -151,7 +152,7 @@ def test_check_space_refuses_huge_inputs_quickly():
 
 def test_enumerated_flags_are_canonical():
     space = build_space(3, 5)
-    for f in space.flags[:50]:
+    for f in list(space.flags)[:50]:
         assert canonical_cols(f.cols, 5) == f.cols
 
 
@@ -161,7 +162,7 @@ def test_canonical_form_is_coset_invariant():
     q = 5
     rng = random.Random(3)
     space = build_space(3, q)
-    for f in rng.sample(space.flags, 25):
+    for f in rng.sample(list(space.flags), 25):
         upper = [[0] * 3 for _ in range(3)]
         for i in range(3):
             upper[i][i] = rng.randrange(1, q)
@@ -189,7 +190,7 @@ def test_canonical_rejects_singular():
 
 def test_relative_position_identity():
     space = build_space(3, 5)
-    for f in space.flags[:20]:
+    for f in list(space.flags)[:20]:
         assert space.relative_position(f, f) == space.weyl.identity
 
 
@@ -207,14 +208,36 @@ def test_coordinate_flag_lies_in_its_cell(n):
 
 def test_relative_position_rejects_foreign_flag():
     space = build_space(3, 5)
-    other = build_space(2, 3)
-    with pytest.raises(ValueError, match="does not belong"):
-        space.relative_position(other.standard_flag, space.standard_flag)
-    with pytest.raises(ValueError, match="does not belong"):
-        space.relative_position(space.standard_flag, other.standard_flag)
+    std, s = space.standard_flag, space.default_torus()
+    w0 = space.weyl.longest_element()
+    # flags that carry the pivot rows another space gave them: one of F_7^3
+    # with an entry 6, one of F_3^2
+    wide = build_space(3, 7).flag_of_matrix([[6, 1, 0], [1, 0, 0], [0, 0, 1]])
+    small = build_space(2, 3).standard_flag
+    for foreign in (wide, small):
+        assert foreign._pivots is not None
+        for call in (lambda: space.relative_position(foreign, std),
+                     lambda: space.relative_position(std, foreign),
+                     lambda: space.conjugate_flag(s, foreign),
+                     lambda: space.histogram_Z(foreign, std),
+                     lambda: space.histogram_Z(std, foreign),
+                     lambda: space.histogram_Y_cell(s, foreign, w0)):
+            with pytest.raises(ValueError, match="does not belong"):
+                call()
+    # a caller's flag carries no pivot rows, and is checked from its columns
+    caller = Flag(space.coordinate_flag(w0).cols)
+    assert caller._pivots is None
+    assert space.relative_position(caller, std) == w0 == space.relative_position(std, caller)
     not_canonical = Flag(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    too_short = Flag(((1, 0, 0), (0, 1, 0)))  # canonical columns, one too few
+    for caller in (not_canonical, too_short):
+        with pytest.raises(ValueError, match="does not belong"):
+            space.conjugate_flag(s, caller)
+        with pytest.raises(ValueError, match="does not belong"):
+            space.relative_position(std, caller)
+    # a matrix with a column too few makes no flag, so none carries pivot rows
     with pytest.raises(ValueError, match="does not belong"):
-        space.conjugate_flag(space.default_torus(), not_canonical)
+        space.flag_of_matrix(too_short.cols)
 
 
 def test_relative_position_transverse_lines():
@@ -242,9 +265,10 @@ def test_relative_position_matches_incidence_oracle_gl2():
 
 def test_relative_position_matches_incidence_oracle_gl3_sampled():
     space = build_space(3, 5)
+    flags = list(space.flags)
     rng = random.Random(11)
     for _ in range(300):
-        f1, f2 = rng.choice(space.flags), rng.choice(space.flags)
+        f1, f2 = rng.choice(flags), rng.choice(flags)
         assert space.relative_position(f1, f2) == _pos_oracle(space, f1, f2)
 
 
@@ -263,7 +287,7 @@ def test_relative_position_at_the_lane_width_bound(n, q, width):
             assert [[sum(x * b[i] for x, b in zip(c, f1.cols)) % q for i in range(n)]
                     for c in coords] == [list(c) for c in f2.cols]
     rng = random.Random(q)
-    for flags in (extreme, space.flags):
+    for flags in (extreme, list(space.flags)):
         for _ in range(200):
             f1, f2 = rng.choice(flags), rng.choice(flags)
             assert space.relative_position(f1, f2) == _pos_oracle(space, f1, f2)
@@ -546,6 +570,7 @@ def test_orbits_are_the_torus_orbits(n, q, lengths):
     # every orbit of the torus elements fixing ref, computed by scaling rows,
     # has exactly one flag among _orbits(z, ref), weighted by the orbit's size
     space = build_space(n, q)
+    flags = list(space.flags)
     torus = _torus(space)
     cells = _cells(space)
     rng = random.Random(n * q)
@@ -555,7 +580,7 @@ def test_orbits_are_the_torus_orbits(n, q, lengths):
     seen = set()
     for z in zs:
         cell = cells[z]
-        for ref in (None, space.standard_flag, rng.choice(cell), rng.choice(space.flags)):
+        for ref in (None, space.standard_flag, rng.choice(cell), rng.choice(flags)):
             fixing = [t for t in torus if ref is None or _scaled(space, t, ref) == ref]
             orbit_of = {}
             for f in cell:
@@ -599,12 +624,13 @@ def test_orbit_counts_match_the_plain_scan(n, q, lengths):
 
 def test_count_z_matches_full_scan_for_arbitrary_bases_gl3_f7():
     space = build_space(3, 7)
+    flags = list(space.flags)
     rng = random.Random(7)
     pos = space.relative_position
     for _ in range(4):
-        base, base2 = rng.sample(space.flags, 2)
+        base, base2 = rng.sample(flags, 2)
         z = pos(base, base2)
-        want = Counter(pos(base2, f) for f in space.flags if pos(base, f) == z)
+        want = Counter(pos(base2, f) for f in flags if pos(base, f) == z)
         assert space.histogram_Z(base, base2) == dict(want), (base, base2)
 
 
@@ -637,7 +663,7 @@ def count_calls(monkeypatch, name):
 def test_count_z_scans_one_cell(monkeypatch):
     space = build_space(3, 5)
     rng = random.Random(2)
-    base = rng.choice(space.flags)
+    base = rng.choice(list(space.flags))
     base2 = next(f for f in space.flags if space.relative_position(base, f).length == 2)
     calls = count_calls(monkeypatch, "relative_position")
     space.count_Z(base, base2, space.weyl.identity)

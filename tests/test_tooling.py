@@ -1,8 +1,11 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package names by their
-spelling; each of them must exist, or only the traced benchmark run breaks."""
+spelling and reads some of their results; each name must exist and each result
+keep its meaning, or only the traced benchmark run breaks or drifts."""
 
 from importlib import import_module
 from pathlib import Path
+
+from heckeflag.flag import build_space, check_space
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -15,3 +18,12 @@ def test_every_name_the_tracer_wraps_exists(monkeypatch):
     missing = [f"{owner.__name__}.{name}" for _, owner, names in tracer._TARGETS
                for name in names if name not in vars(owner)]
     assert missing == []
+
+
+def test_the_traced_flag_count_is_the_q_factorial():
+    # the tracer's flag.flags_built metric reads len(result.flags) from
+    # build_space: the length of the view must be the number of flags that
+    # iterating it builds, all distinct
+    space = build_space(4, 5)
+    assert len(space.flags) == check_space(4, 5) == 29016
+    assert len(set(space.flags)) == 29016
