@@ -33,16 +33,16 @@ and xs the longer one is the one with the larger index.
 Results decode lazily: ``coefficient(w)`` decodes one entry, ``terms``
 (Element -> IntPoly) is built the first time it is read unless the element
 was built from terms, and ``values_at`` reads every term at q = 1 or q = -1
-without decoding.  ``row_products`` alone forms T_w T_z for all z, each as
-(T_w T_z') T_s with z' the prefix of z's canonical word: one generator step
-per z, and a product by a unit T_s whose other factor's width already holds
-the tripled norm is that one step and nothing else.  On a finite system it
-packs T_w at the width of |W| 3^l(w0), which bounds sum |p_z|_1 over a whole
-row and so every coefficient of a row's sum.  ``diagonal_row`` (under
-``e_set``) decodes one coefficient of each product, the verify suites read
-their checks from the same rows, and ``regular_trace`` decodes one polynomial
-per trace: it adds the packed diagonal entries p_z(2^B) as ints, which is
-(sum p_z)(2^B).
+without decoding.  One walk of the prefix tree of canonical words,
+``_row_walk``, forms T_w T_z for all z, each as (T_w T_z') T_s with z' the
+prefix of z's canonical word: one generator step per z.  On a finite system
+T_w starts at the width of |W| 3^l(w0), which bounds sum |p_z|_1 over a whole
+row and so every coefficient of a row's sum.  ``row_products`` steps by
+products, each by a unit T_s that is one step and nothing else; ``diagonal_row``
+(under ``e_set``) decodes one coefficient of each, and the verify suites read
+their checks from the same rows.  ``regular_trace`` steps the packed dicts
+themselves and decodes one polynomial per trace: it adds the packed diagonal
+entries p_z(2^B) as ints, which is (sum p_z)(2^B).
 
     >>> from heckeflag import build_system
     >>> H = HeckeAlgebra(build_system("A1"))
@@ -322,25 +322,13 @@ class HeckeAlgebra:
         """Coefficient of T_wpp in T_w * T_wp (zero polynomial if absent)."""
         return self.product(self.t_basis(w), self.t_basis(wp)).coefficient(wpp)
 
-    def row_products(self, w: Element, max_len: int | None = None):
-        """Iterator of (z, T_w * T_z), once for every candidate z, in the
-        lexicographic order of canonical words (so each z after its parent).
-
-        Finite systems run over the whole group and take no max_len (a bound
-        would silently change the meaning); infinite systems need a max_len
-        and run over the elements of length <= max_len.  Either way the
-        longest z, l(w0) or max_len, must lie in 0..ROW_MAX_LEN.
-
-        Every z != e is its parent z' (z's canonical word without its last
-        letter s) times s, one length up, so T_w T_z = (T_w T_z') T_s.  The
-        walk visits this prefix tree depth first: one product and one
-        generator step per z, with one product per length alive at a time.
-        T_w T_z has l1 norm at most 3^l(z), so T_w starts packed at the width
-        of 3^max_len on I2(inf) and of |W| 3^l(w0) on a finite system, which
-        also holds a sum of the whole row (``regular_trace``); every product
-        of the walk is at that width, and every step reuses its parent's
-        packed dict.
-        """
+    def _row_top(self, w: Element, max_len: int | None) -> tuple[int, int]:
+        """(top, width) of w's row, checked before any step.  top, the longest
+        z, is l(w0) on a finite system, which takes no max_len (a bound would
+        silently change the meaning), and the max_len an infinite one needs
+        (it has no regular trace); it lies in 0..ROW_MAX_LEN.  T_w T_z has l1
+        norm at most 3^l(z), so the width of |W| 3^l(w0), or 3^max_len on
+        I2(inf), holds every product and the sum of a row."""
         system = self.system
         system._check_member(w)
         if system.is_finite:
@@ -348,36 +336,27 @@ class HeckeAlgebra:
                 raise ValueError("max_len only applies to infinite systems")
             top, size = system.longest_element().length, len(system._elements)
         elif max_len is None:
-            raise ValueError("max_len is required for infinite systems")
+            raise ValueError("max_len is required for infinite systems: no regular trace")
         else:
             top, size = max_len, 1
         if not 0 <= top <= ROW_MAX_LEN:
             raise ValueError(
                 f"{system.label} rows up to length {top} refused: max_len, or l(w0) "
                 f"of a finite system, must lie in 0..{ROW_MAX_LEN}")
-        bound = size * 3**top
-        lengths, last, elements = system._lengths, system._last, system._elements
-        # (column, letter, T_s) of every generator s, last letter first: the
-        # children of x go on the stack in that order, so they come off in
-        # letter order and the walk is a preorder of the word tree
-        children = [(col, g + 1, self.t_basis(s)) for g, (col, s) in
-                    enumerate(zip(system._rmult, system.generators))][::-1]
-        tw = HeckeElt._from_packed(self, {w.index: 1}, _width(bound), 1, len(w.word))
-        # (x, T_w T_parent, T_s) with x = parent * s; an entry waits until its
-        # parent is visited, and all waiting entries hang off the current path,
-        # so one product per length is alive
-        pending = [(system.identity.index, tw, self.t_basis(system.identity))]
-        while pending:
-            x, parent, step = pending.pop()
-            h = self.product(parent, step)
+        return top, _width(size * 3**top)
+
+    def row_products(self, w: Element, max_len: int | None = None):
+        """Iterator of (z, T_w * T_z) over the row of ``_row_top`` (a finite
+        group, or the elements of length <= max_len of I2(inf)) in
+        ``_row_walk`` order: T_w T_z is the product (T_w T_z') T_s at the
+        row's width, and T_w T_e is product(T_w, T_e)."""
+        top, width = self._row_top(w, max_len)
+        units = [self.t_basis(s) for s in self.system.generators]
+        tw = HeckeElt._from_packed(self, {w.index: 1}, width, 1, len(w.word))
+        elements = self.system._elements
+        for x, h in _row_walk(self.system, top, self.product(tw, self.one()),
+                              lambda h, g: self.product(h, units[g])):
             yield elements[x], h
-            if lengths[x] < top:
-                for col, letter, step in children:
-                    z = col[x]
-                    # z = x s is x's child iff s is z's last letter; s is then
-                    # a descent of z, so l(z) = l(x) + 1 needs no check
-                    if last[z] == letter:
-                        pending.append((z, h, step))
 
     def diagonal_row(self, w: Element, max_len: int | None = None):
         """List of (z, N(w, z, z)) over the candidates of ``row_products``, in
@@ -391,21 +370,50 @@ class HeckeAlgebra:
         """Trace of left multiplication by T_w on the T-basis: the sum of the
         diagonal entries N(w, z, z) over the whole group; finite systems only.
 
-        One walk of the row, |W| products of one generator step each, and one
-        decode: the packed diagonal entries are added as ints.  Each is
-        v_z = p_z(2^B) at the walk's width B, so their sum is (sum p_z)(2^B),
-        and every coefficient of sum p_z is at most sum |p_z|_1 <=
-        |W| 3^l(w0) < 2^(B-1), the bound T_w is packed for; so the one sum
-        decodes to the trace.
+        ``_row_walk`` steps plain packed dicts, T_w T_z = (T_w T_z') T_s by
+        one ``_generator_step`` per z != e and no product, at the width B of
+        ``_row_top``.  Each diagonal entry is read packed, v_z = p_z(2^B), so
+        their int sum is (sum p_z)(2^B), and every coefficient of sum p_z is
+        at most sum |p_z|_1 <= |W| 3^l(w0) < 2^(B-1): one decode gives the
+        trace.
         """
-        system = self.system
-        if not system.is_finite:
-            raise ValueError("regular trace needs a finite basis")
+        top, width = self._row_top(w, None)
+        cols = self.system._rmult
         total = 0
-        for z, h in self.row_products(w):
-            total += h._packed.get(z.index, 0)
-        # every product of the walk is at T_w's width (``row_products``)
-        return _decode(total, h._width)
+        for z, d in _row_walk(self.system, top, {w.index: 1},
+                              lambda d, g: _generator_step(d, cols[g], width)):
+            total += d.get(z, 0)
+        return _decode(total, width)
+
+
+def _row_walk(system: CoxeterSystem, top: int, root, step):
+    """Iterator of (z's index, z's value) over the elements of length <= top,
+    in the lexicographic order of canonical words (so each z after its
+    parent).  e's value is root; every other z is its parent z' (its
+    canonical word without its last letter s) times s, one length up, and its
+    value is step(the parent's value, s's generator index).  The walk visits
+    this prefix tree depth first, so one value per length is alive at a time."""
+    lengths, last = system._lengths, system._last
+    # (column, letter) of every generator, last letter first: the children of
+    # x go on the stack in that order, so they come off in letter order
+    children = [(col, g + 1) for g, col in enumerate(system._rmult)][::-1]
+    # (z, the parent's value, z's last letter); an entry waits until its
+    # parent is visited, and all waiting entries hang off the current path
+    pending = []
+    x, value = system.identity.index, root
+    while True:
+        yield x, value
+        if lengths[x] < top:
+            for col, letter in children:
+                z = col[x]
+                # z = x s is x's child iff s is z's last letter; s is then a
+                # descent of z, so l(z) = l(x) + 1 needs no check
+                if last[z] == letter:
+                    pending.append((z, value, letter))
+        if not pending:
+            return
+        x, parent, letter = pending.pop()
+        value = step(parent, letter - 1)
 
 
 def _generator_step(terms: dict, col, width: int) -> dict:

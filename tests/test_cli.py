@@ -15,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckeflag import cli, coxeter, flag, verify
+from heckeflag import cli, coxeter, flag, hecke, verify
 from heckeflag.coxeter import MAX_FINITE_ORDER, MAX_WORD_LETTERS, CoxeterSystem
 from heckeflag.flag import FLAG_SPACE_MAX_FLAGS, FlagSpace, build_space
 from heckeflag.hecke import ROW_MAX_LEN, HeckeAlgebra, HeckeElt
@@ -553,7 +553,7 @@ def test_minus_one_oracle_suffix_tree(label):
         assert parents == [w.word[0]], w.word
 
 
-@pytest.mark.parametrize("label", ["G2", "D4", "I2(5)"])
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4", "I2(5)"])
 def test_minus_one_oracle_matches_regular_trace(label):
     system = coxeter.build_system(label)
     algebra = HeckeAlgebra(system)
@@ -587,11 +587,16 @@ def test_verify_hecke_d4_detects_trace_mismatch(monkeypatch):
 @pytest.mark.parametrize("command", ["trace", "eset"])
 def test_rows_refuse_a_longest_element_past_the_row_cap(monkeypatch, command):
     # I2(501) passes the group guards, but its rows reach l(w0) = 501 > 500
-    # (the trace of w0 in I2(1000) took 132 s and 876 MB)
+    # (the trace of w0 in I2(1000) took 132 s and 876 MB); the trace steps
+    # packed dicts without products, so the generator step is refused too
     def no_products(self, a, b):
         raise AssertionError("the row cap must refuse before any product")
 
+    def no_steps(terms, col, width):
+        raise AssertionError("the row cap must refuse before any step")
+
     monkeypatch.setattr(HeckeAlgebra, "product", no_products)
+    monkeypatch.setattr(hecke, "_generator_step", no_steps)
     result = cli.run([command, "--type", "I2(501)", "--w", _alternating(1, 501)])
     assert result.exit_code == 1 and result.payload == ""
     assert "length 501 refused" in result.diagnostics[0]

@@ -559,37 +559,80 @@ def test_diagonal_row_reads_one_product_per_candidate():
         next(H.row_products(H.system.identity, 3))
 
 
-@pytest.mark.parametrize("label", ["A3", "B3", "G2", "D4", "I2(5)"])
+@pytest.mark.parametrize("label", ["A3", "A4", "B3", "C3", "G2", "D4", "I2(5)"])
 def test_trace_is_the_sum_of_the_decoded_row(label):
-    # the trace adds packed diagonal entries and decodes once; the row
-    # decodes each entry on its own
+    # the trace steps packed dicts and decodes once; the row makes a product
+    # per entry and decodes each on its own: the two share only the walk
     H = algebra(label)
     for w in H.system.elements:
         assert H.regular_trace(w) == sum((n for _, n in H.diagonal_row(w)), ZERO)
 
 
-def test_regular_trace_makes_one_product_per_element_and_one_decode(monkeypatch):
-    # the one decode reads the summed diagonal at the width of |W| 3^l(w0),
-    # which holds every coefficient of the sum of |W| entries
+def test_regular_trace_makes_one_step_per_element_and_one_decode(monkeypatch):
+    # the walk steps packed dicts, one generator step per z != e and no
+    # product; the one decode reads the summed diagonal at the width of
+    # |W| 3^l(w0), which holds every coefficient of the sum of |W| entries
     H = algebra("B3")
-    counts = {"products": 0}
+    counts = {"products": 0, "steps": 0}
     widths = []
-    product, decode = HeckeAlgebra.product, hecke._decode
+    product, step, decode = HeckeAlgebra.product, hecke._generator_step, hecke._decode
 
     def counted_product(self, a, b):
         counts["products"] += 1
         return product(self, a, b)
+
+    def counted_step(terms, col, width):
+        counts["steps"] += 1
+        return step(terms, col, width)
 
     def counted_decode(value, width):
         widths.append(width)
         return decode(value, width)
 
     monkeypatch.setattr(HeckeAlgebra, "product", counted_product)
+    monkeypatch.setattr(hecke, "_generator_step", counted_step)
     monkeypatch.setattr(hecke, "_decode", counted_decode)
     trace = H.regular_trace(H.system.normal_form([1, 2]))
-    assert counts == {"products": 48}
+    assert counts == {"products": 0, "steps": 47}
     assert widths == [hecke._width(48 * 3**9)]
     assert trace(1) == 0
+
+
+def _parabolic(system, w):
+    # W_J for J the letters of w: the z whose canonical word uses only J
+    letters = set(w.word)
+    return [z for z in system.elements if letters.issuperset(z.word)]
+
+
+def _assert_parabolic_induction(H, w):
+    # H is a free left H_J-module on the T_d, d the distinguished coset
+    # representatives, so tr_W(T_w) = [W : W_J] tr_{W_J}(T_w) (Geck and
+    # Pfeiffer, 2000); the right side reads from-scratch products only
+    parabolic = _parabolic(H.system, w)
+    index, rest = divmod(len(H.system.elements), len(parabolic))
+    assert rest == 0
+    local = sum((H.structure_constant(w, z, z) for z in parabolic), ZERO)
+    assert H.regular_trace(w) == index * local, w.word
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "G2", "I2(5)"])
+def test_trace_obeys_parabolic_induction(label):
+    H = algebra(label)
+    for w in H.system.elements:
+        _assert_parabolic_induction(H, w)
+
+
+def test_trace_obeys_parabolic_induction_on_sampled_f4():
+    # 40 seeded w of F4 with a proper support, s1s3 (support {1, 3}, not
+    # connected) among them; a full support is index 1, covered above
+    H = algebra("F4")
+    system = H.system
+    s1s3 = system.normal_form([1, 3])
+    proper = [w for w in system.elements if len(set(w.word)) < system.rank and w is not s1s3]
+    sample = random.Random(1).sample(proper, 39) + [s1s3]
+    assert len({len(_parabolic(system, w)) for w in sample}) > 3
+    for w in sample:
+        _assert_parabolic_induction(H, w)
 
 
 def test_diagonal_row_infinite_needs_a_bound():
