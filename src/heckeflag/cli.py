@@ -19,7 +19,7 @@ dihedral_suite or all_suites) reads, and binds it:
 Each command computes its data once: a JSON document, CSV rows and a table.
 ``run`` renders the chosen --format of it and turns any ValueError into exit
 1: a usage error, an option the command or suite does not read, or a size
-past a bound, refused before any work (hecke: |W| > 400 or l(w0) > 64;
+past a bound, refused before any work (hecke: |W| > 720 or l(w0) > 64;
 flags: over 200000 flags in all; trace, eset: a row past length 500).
 -h/--help is an ok result whose payload is the help text.  Checks that all
 name a flag space have a CSV row n,q,w,z,observed,predicted,match per count,

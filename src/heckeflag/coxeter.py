@@ -128,10 +128,12 @@ class _RootModel:
 
     ``apply(key, g)`` is right multiplication by s = s_{g+1}: v(x s) = v -
     v_s alpha_s, with alpha_s (column s of the Cartan matrix) packed once.
+    ``order`` is |W|, the product of the degrees, which sizes the walk.
     """
 
-    def __init__(self, cartan: Sequence[Sequence[int]]):
+    def __init__(self, cartan: Sequence[Sequence[int]], order: int):
         self.cartan = tuple(tuple(row) for row in cartan)
+        self.order = order
         self.rank = n = len(cartan)
         self.positive_roots = _positive_roots(self.cartan)
         # the length of w0 is |Phi+|, and |v_j| <= |Phi+| < 2^(width - 1):
@@ -203,6 +205,25 @@ def _alt_right(i: int, g: int, top: int | None = None) -> int:
     if i == top:
         return i - 1  # w0's word (2, 1, ...) ends in s
     return i + 2 if top is None or i + 2 < top else top
+
+
+def _left_tables(rmult: list[list[int]], last: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The columns s_{g+1} x and the inverses, by index, of a walk's right
+    columns and last letters.  x = p s with p = x s its parent, earlier in
+    the walk, as is the inverse of p (same length): s_g x = (s_g p) s and
+    x^-1 = s p^-1."""
+    last_cols = [rmult[s - 1] for s in last[1:]]
+    parents = [col[x] for x, col in enumerate(last_cols, 1)]
+    lmult = []
+    for col in rmult:
+        lcol = [col[0]]  # s_g e = e s_g
+        for c, p in zip(last_cols, parents):
+            lcol.append(c[lcol[p]])
+        lmult.append(lcol)
+    inv = [0]
+    for s, p in zip(last[1:], parents):
+        inv.append(lmult[s - 1][inv[p]])
+    return lmult, inv
 
 
 # the longest length an I2(inf) system lists (elements_up_to), a Hecke row
@@ -286,10 +307,9 @@ class CoxeterSystem:
     length order, with tables indexed by position: ``_elements``, one column
     per generator ``_rmult[g][x]`` and ``_lmult[g][x]`` (x s_{g+1} and
     s_{g+1} x), ``_inv``, ``_lengths`` and ``_last`` (the last letter of x's
-    canonical word, 0 for the identity).  A root system also keeps
-    ``_keys``, the packed weight x^-1 rho (an int) of each element; only the
-    walk reads them.  Dihedral systems have no keys: their tables come from
-    the closed forms of the index (module docstring).
+    canonical word, 0 for the identity).  A root system fills them by a walk
+    keyed by the packed weight x^-1 rho, and keeps no key; a dihedral system
+    fills them from the closed forms of the index (module docstring).
 
     A finite system is immutable after construction.  I2(inf) fills its
     tables on first use (a word walk stores the entries of elements of
@@ -313,13 +333,13 @@ class CoxeterSystem:
     # -- construction ------------------------------------------------------
 
     def _enumerate_all(self):
-        apply, longest = self._model.apply, self._model.longest
-        keys = [self._model.identity()]
+        model = self._model
+        apply, longest, order = model.apply, model.longest, model.order
+        keys = [model.identity()]
         key_index = {keys[0]: 0}
         words: list[tuple[int, ...]] = [()]
-        # one column per generator, grown by doubling as elements are found
-        # and cut to the order at the end; -1 marks an entry not yet known
-        rmult: list[list[int]] = [[-1] for _ in range(self.rank)]
+        # one column per generator, of |W| entries; -1 marks one not yet known
+        rmult = [[-1] * order for _ in range(self.rank)]
         # keys grows while it is walked: a breadth-first queue
         for idx, x in enumerate(keys):
             word = words[idx]
@@ -330,42 +350,27 @@ class CoxeterSystem:
                 j = key_index.get(key)
                 if j is None:
                     j = key_index[key] = len(keys)
-                    if j == MAX_FINITE_ORDER or len(word) == longest:
-                        # a faulty model must not walk on without end, nor
+                    if j == order or len(word) == longest:
+                        # a faulty model must not walk past the columns, nor
                         # along words longer than w0's
                         raise AssertionError(
                             f"{self.label}: the walk left the group (more than "
-                            f"{MAX_FINITE_ORDER} elements or a word longer than {longest})")
+                            f"{order} elements or a word longer than {longest})")
                     keys.append(key)
                     words.append(word + (g + 1,))
-                    if j == len(col):
-                        for c in rmult:
-                            c.extend([-1] * j)
                 col[idx] = j
                 col[j] = idx  # generators are involutions
-        order = len(keys)
-        for col in rmult:
-            del col[order:]
-        self._keys = keys
+        if len(keys) != order:
+            raise AssertionError(
+                f"{self.label}: enumerated {len(keys)} elements, expected {order}")
+        del keys, key_index  # the keys served the walk only
         self._rmult = rmult
         self._lengths = [len(w) for w in words]
         self._last = last = [w[-1] if w else 0 for w in words]
+        # before the elements, so that no temporary of the left tables is
+        # alive beside them
+        self._lmult, self._inv = _left_tables(rmult, last)
         self._elements = tuple(map(Element, words, itertools.count()))
-        # x = p s with p = x s its parent, earlier in the walk, as is the
-        # inverse of p (same length): s_g x = (s_g p) s and x^-1 = s p^-1
-        last_cols = [rmult[s - 1] for s in last[1:]]
-        parents = [col[x] for x, col in enumerate(last_cols, 1)]
-        lmult = []
-        for col in rmult:
-            lcol = [col[0]]  # s_g e = e s_g
-            for c, p in zip(last_cols, parents):
-                lcol.append(c[lcol[p]])
-            lmult.append(lcol)
-        inv = [0]
-        for s, p in zip(last[1:], parents):
-            inv.append(lmult[s - 1][inv[p]])
-        self._inv = inv
-        self._lmult = lmult
         self._walk_stored = order
 
     def _fill_dihedral(self, m: int | None):
@@ -611,7 +616,7 @@ def build_system(spec: str) -> CoxeterSystem:
     (n >= 2), ``G2``, ``F4``, ``I2(<m>)`` (m >= 2), ``I2(inf)``.  A finite
     system is built eagerly once its order and the letter count of its
     canonical words, both from its degrees, pass the guards, and a root
-    system's element count is checked against that order.  Results are
+    system's walk must find exactly that order.  Results are
     cached, so equal type strings share one system object.
     """
     spec = spec.strip()
@@ -634,12 +639,7 @@ def build_system(spec: str) -> CoxeterSystem:
     order = _check_order(spec, _DEGREES[family](n))
     if family == "I":
         return CoxeterSystem(spec, m=n)
-    cartan = _cartan(family, n)
-    system = CoxeterSystem(spec, _RootModel(cartan))
-    if len(system._elements) != order:
-        raise AssertionError(
-            f"{spec}: enumerated {len(system._elements)} elements, expected {order}")
-    return system
+    return CoxeterSystem(spec, _RootModel(_cartan(family, n), order))
 
 
 def _check_order(spec: str, degrees: Iterable[int]) -> int:

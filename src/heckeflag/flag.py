@@ -397,10 +397,6 @@ class FlagSpace:
                 raise ValueError(_FOREIGN)
         return pivots, packed
 
-    def _coordinates(self, f: Flag, g: Flag) -> list[list[int]]:
-        """The columns of inverse(f) * g, reduced mod q."""
-        return _solve(*self._read(f), self._read(g)[1], self.q, self._width)
-
     def relative_position(self, f1: Flag, f2: Flag) -> Element:
         """The permutation w with incidence profile r_ij = [i = w(j)]."""
         pivots, basis = self._read(f1)
@@ -479,9 +475,11 @@ class FlagSpace:
 
     def histogram_Z(self, base: Flag, base2: Flag) -> dict[Element, int]:
         """{w: #{F : pos(base, F) = pos(base, base2) and pos(base2, F) = w}}."""
-        z = self.relative_position(base, base2)
-        # g^-1.base2 for g the matrix of base
-        translated = self.flag_of_matrix(self._coordinates(base, base2))
+        # g^-1.base2 for g the matrix of base, whose pivot rows are the
+        # permutation pos(base, base2)
+        translated = self.flag_of_matrix(
+            _solve(*self._read(base), self._read(base2)[1], self.q, self._width))
+        z = self._elt_of[translated._pivots]
         return self._histogram(
             (translated, f, weight) for f, weight in self._orbits(z, translated)
         )

@@ -242,12 +242,13 @@ def test_verify_flags_scans_once_per_base_pair(monkeypatch):
     calls = _count_calls(monkeypatch, "relative_position")
     result = cli.run(["verify", "flags", "--n", "3", "--q", "5"])
     assert result.status == "ok"
-    # per base pair (6): z in histogram_Z, then one flag per torus orbit of
-    # cell(z) for the pair counts and again for the cell counts (the pair's
-    # translate is a coordinate flag, so both walk the orbits of the whole
-    # torus, 1 + 2 + 2 + 4 + 4 + 11 = 24 of the 186 flags), so 6 + 2 * 24;
-    # the totals add up the cell histograms and scan nothing
-    assert calls[0] == 6 + 2 * 24 == 54
+    # per base pair (6): one flag per torus orbit of cell(z) for the pair
+    # counts and again for the cell counts (the pair's translate is a
+    # coordinate flag, so both walk the orbits of the whole torus,
+    # 1 + 2 + 2 + 4 + 4 + 11 = 24 of the 186 flags), so 2 * 24; histogram_Z
+    # reads z off the translate's pivot rows, and the totals add up the cell
+    # histograms, so neither scans
+    assert calls[0] == 2 * 24 == 48
 
 
 def test_verify_flags_gl4_f5_work_counts(monkeypatch):
@@ -255,9 +256,10 @@ def test_verify_flags_gl4_f5_work_counts(monkeypatch):
     conjugations = _count_calls(monkeypatch, "conjugate_flag")
     result = cli.run(["verify", "flags", "--n", "4", "--q", "5"])
     assert result.status == "ok"
-    # 666 torus orbits in the 24 cells of GL4(F5)'s 29016 flags; one
-    # conjugation per orbit, and one per cell to check that its base is fixed
-    assert positions[0] == 24 + 2 * 666 == 1356
+    # 666 torus orbits in the 24 cells of GL4(F5)'s 29016 flags; two
+    # positions per orbit, one conjugation per orbit and one per cell to
+    # check that its base is fixed
+    assert positions[0] == 2 * 666 == 1332
     assert conjugations[0] == 666 + 24 == 690
 
 
@@ -849,6 +851,15 @@ def test_help_is_an_ok_payload(argv, usage, capsys):
     assert cli.main(argv) == 0
     out, err = capsys.readouterr()
     assert out == result.payload and err == ""
+
+
+def test_help_names_the_size_bounds():
+    # the help text is the cli docstring: the bounds it names are the ones
+    # run enforces
+    payload = cli.run(["--help"]).payload
+    for bound in (f"|W| > {verify.HECKE_SUITE_MAX_ORDER}", f"l(w0) > {verify.HECKE_SUITE_MAX_LEN}",
+                  f"over {FLAG_SPACE_MAX_FLAGS} flags", f"past length {ROW_MAX_LEN}"):
+        assert bound in payload
 
 
 def test_subprocess_entry_point():

@@ -4,6 +4,8 @@ subword test for Bruhat order, and root-counting for lengths."""
 
 import itertools
 import math
+import re
+import sys
 import tracemalloc
 
 import pytest
@@ -463,8 +465,10 @@ def test_index_order_is_length_order(label):
 
 
 class _Tree:
-    # a rank-3 model whose walk never closes: each key has two new children
+    # a rank-3 model whose walk never closes: each key has two new children;
+    # its order is the largest build_system admits
     rank = 3
+    order = MAX_FINITE_ORDER
 
     def __init__(self, longest):
         self.longest = longest
@@ -479,8 +483,22 @@ class _Tree:
 @pytest.mark.parametrize("longest, found", [
     (40, f"more than {MAX_FINITE_ORDER} elements"), (5, "longer than 5")])
 def test_a_faulty_model_stops_the_walk(longest, found):
-    with pytest.raises(AssertionError, match=found):
+    # the walk overruns the order before depth 40, and reaches depth 5 first
+    message = (f"tree: the walk left the group (more than {MAX_FINITE_ORDER} "
+               f"elements or a word longer than {longest})")
+    assert found in message
+    with pytest.raises(AssertionError, match=re.escape(message)):
         CoxeterSystem("tree", _Tree(longest))
+
+
+def test_a_walk_must_fill_its_order():
+    # the walk of A2 closes on its 6 elements: an order of 7 from faulty
+    # degrees is refused with both counts, and an order of 5 is overrun
+    cartan = coxeter._cartan("A", 2)
+    with pytest.raises(AssertionError, match=r"^A2: enumerated 6 elements, expected 7$"):
+        CoxeterSystem("A2", coxeter._RootModel(cartan, 7))
+    with pytest.raises(AssertionError, match="more than 5 elements"):
+        CoxeterSystem("A2", coxeter._RootModel(cartan, 5))
 
 
 @pytest.mark.parametrize("label", _ROOT_TYPES)
@@ -494,13 +512,16 @@ def test_every_root_type_fits_the_key_width(label):
     cartan, width = model.cartan, model.width
     bias = 1 << (width - 1)
     vectors = {(): (1,) * system.rank}
+    keys = {(): model.identity()}
     largest = 0
-    for x, key in zip(system.elements, system._keys):
+    for x in system.elements:
         if x.word:
             parent, s = vectors[x.word[:-1]], x.word[-1] - 1
             vectors[x.word] = tuple(
                 c - parent[s] * cartan[j][s] for j, c in enumerate(parent))
-        v = vectors[x.word]
+            # the walk's step, from the parent's key
+            keys[x.word] = model.apply(keys[x.word[:-1]], s)
+        v, key = vectors[x.word], keys[x.word]
         largest = max(largest, *map(abs, v))
         assert type(key) is int
         assert key == sum((c + bias) << (width * j) for j, c in enumerate(v))
@@ -707,6 +728,22 @@ def test_a_long_infinite_word_leaves_no_table_entry_per_prefix():
     assert all(len(col) <= bound for col in system._rmult + system._lmult)
 
 
+def test_a_root_system_build_peaks_near_what_it_keeps():
+    # each column is allocated once, at |W| from the degrees, and the walk's
+    # keys are freed before the left tables and the elements are built, so a
+    # fresh B5 build peaks within 12% of what the system keeps (a walk that
+    # kept its keys beside the tables peaked about 20% past it)
+    tracemalloc.start()
+    try:
+        system = build_system.__wrapped__("B5")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.12 * retained, (peak, retained)
+    allocated = sys.getsizeof([-1] * system.order)
+    assert all(sys.getsizeof(col) == allocated for col in system._rmult)
+
+
 def test_elements_up_to_a_negative_length_is_empty():
     for label in ("A2", "I2(inf)"):
         system = build_system(label)
@@ -782,10 +819,10 @@ def test_length_equals_root_inversions(label):
 
 
 def test_root_inversions_reads_no_enumeration_key():
-    # the length oracle folds its own matrix from the word; a fresh system
-    # (past the cache) stripped of its keys still answers
-    system = build_system.__wrapped__("B3")
-    del system._keys
+    # the length oracle folds its own matrix from the word; a system keeps
+    # no enumeration key for it to read
+    system = build_system("B3")
+    assert not hasattr(system, "_keys")
     assert [system.root_inversions(a) for a in system.elements] == [
         a.length for a in system.elements]
 
