@@ -32,17 +32,17 @@ and xs the longer one is the one with the larger index.
 
 Results decode lazily: ``coefficient(w)`` decodes one entry, ``terms``
 (Element -> IntPoly) is built the first time it is read unless the element
-was built from terms, and ``values_at`` reads every term at q = 1 or q = -1
-without decoding.  One walk of the prefix tree of canonical words,
+was built from terms, and ``values_at`` reads every nonzero value at q = 1 or
+q = -1 without decoding.  One walk of the prefix tree of canonical words,
 ``_row_walk``, forms T_w T_z for all z, each as (T_w T_z') T_s with z' the
 prefix of z's canonical word: one generator step per z.  On a finite system
 T_w starts at the width of |W| 3^l(w0), which bounds sum |p_z|_1 over a whole
 row and so every coefficient of a row's sum.  ``row_products`` steps by
-products, each by a unit T_s that is one step and nothing else; ``diagonal_row``
-(under ``e_set``) decodes one coefficient of each, and the verify suites read
-their checks from the same rows.  ``regular_trace`` steps the packed dicts
-themselves and decodes one polynomial per trace: it adds the packed diagonal
-entries p_z(2^B) as ints, which is (sum p_z)(2^B).
+products by a unit T_s, one generator step each as the row's width holds their
+bounds; ``diagonal_row`` (under ``e_set``) decodes one coefficient of each,
+and the verify suites read their checks from the same rows.  ``regular_trace``
+steps the packed dicts themselves and decodes one polynomial per trace: it
+adds the packed diagonal entries p_z(2^B) as ints, which is (sum p_z)(2^B).
 
     >>> from heckeflag import build_system
     >>> H = HeckeAlgebra(build_system("A1"))
@@ -53,12 +53,14 @@ entries p_z(2^B) as ints, which is (sum p_z)(2^B).
     >>> (big * big).coefficient(H.system.identity) == IntPoly((0, 10**60))
     True
 
-Everything is exact integer arithmetic.  Values are immutable by convention;
-the decoded ``terms`` are cached on first read, and two threads that race to
-build them build equal dicts, so concurrent use needs no coordination.
+Everything is exact integer arithmetic.  Values are immutable; ``terms`` is a
+read-only view, cached on first read, and two threads that race to build it
+build equal views, so concurrent use needs no coordination.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 from .coxeter import MAX_INFINITE_LEN, CoxeterSystem, Element
 from .poly import ZERO, IntPoly
@@ -81,8 +83,7 @@ class HeckeElt:
     One built from a dict of terms packs them once, at the width of their
     exact l1 norm, and keeps its nonzero input terms as ``terms``; any other
     builds ``terms`` (Element -> IntPoly, no zero coefficient) when it is
-    first read.  Instances are immutable by convention; use the arithmetic
-    operators.
+    first read.  ``terms`` is a read-only view; use the arithmetic operators.
     """
 
     __slots__ = ("algebra", "_terms", "_packed", "_width", "_norm", "_longest")
@@ -92,10 +93,12 @@ class HeckeElt:
             raise ValueError("term keys must belong to the algebra's system")
         self._norm = sum(map(_l1, terms.values()))
         self.algebra = algebra
-        self._terms = {w: p for w, p in terms.items() if p}
+        nonzero = {w: p for w, p in terms.items() if p}
+        self._terms = MappingProxyType(nonzero)
         self._width = _width(self._norm)
-        self._longest = max((len(w.word) for w in self._terms), default=0)
-        self._packed = algebra._pack(self, self._width)
+        self._longest = max((len(w.word) for w in nonzero), default=0)
+        base = 1 << self._width
+        self._packed = {w.index: p(base) for w, p in nonzero.items()}
 
     @classmethod
     def _from_packed(cls, algebra: "HeckeAlgebra", packed: dict, width: int,
@@ -113,12 +116,12 @@ class HeckeElt:
         return elt
 
     @property
-    def terms(self) -> dict[Element, IntPoly]:
+    def terms(self) -> MappingProxyType[Element, IntPoly]:
         if self._terms is None:
             elements, width = self.algebra.system._elements, self._width
-            self._terms = {
+            self._terms = MappingProxyType({
                 elements[k]: _decode(v, width) for k, v in self._packed.items() if v
-            }
+            })
         return self._terms
 
     def _at_width(self, width: int) -> dict:
@@ -134,9 +137,9 @@ class HeckeElt:
             return ZERO
         return _decode(self._packed.get(w.index, 0), self._width)
 
-    def values_at(self, q: int, *, nonzero: bool = False) -> dict[Element, int]:
-        """Each term's coefficient evaluated at q = 1 or q = -1; a term whose
-        value is zero may be listed, and is left out when nonzero is true.
+    def values_at(self, q: int) -> dict[Element, int]:
+        """Each term's nonzero coefficient value at q = 1 or q = -1; a term
+        whose value is zero is left out.
 
         A packed coefficient v = p(2^B) is read without decoding: 2^B is 1
         mod 2^B - 1 and -1 mod 2^B + 1, so p(q) is the balanced residue of v
@@ -150,7 +153,7 @@ class HeckeElt:
         out = {}
         for k, v in self._packed.items():
             r = v % modulus
-            if r or not nonzero:
+            if r:
                 out[elements[k]] = r - modulus if r > half else r
         return out
 
@@ -247,13 +250,6 @@ class HeckeAlgebra:
     def zero(self) -> HeckeElt:
         return HeckeElt(self, {})
 
-    # -- packed terms ------------------------------------------------------------
-
-    def _pack(self, h: HeckeElt, width: int) -> dict:
-        """h's decoded ``terms`` packed at width, for the terms constructor."""
-        base = 1 << width
-        return {w.index: p(base) for w, p in h.terms.items()}
-
     # -- products --------------------------------------------------------------
 
     def product(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
@@ -266,12 +262,14 @@ class HeckeAlgebra:
         y's reduced word with left steps.  Both directions evaluate the same
         bilinear product; choosing the cheaper one keeps basis-times-general
         products linear in the word length instead of linear in the support.
-        The kept factor's packed dict is used as it is when its width covers
-        the product's bound, and a packed expanded factor is read without
-        decoding: a coefficient of 1 is 1 at every width, and any other is
-        re-evaluated only when its width is not the product's.  Expanding a
-        unit T_s against a kept factor whose width holds the tripled norm is
-        one generator step of the kept dict, returned as it is.
+        The product's width is never narrower than either factor's, so a
+        chain of products keeps one width and packs nothing: when the kept
+        factor's width already holds the product's bound and the expanded
+        factor's width, the product takes it and steps the kept packed dict
+        as it is (a unit T_s against such a factor is one generator step).  A
+        packed expanded factor is read without decoding: a coefficient of 1
+        is 1 at every width, and any other is re-evaluated only when its
+        width is not the product's.
         """
         if a.algebra is not self or b.algebra is not self:
             self._check_same(a)
@@ -285,22 +283,13 @@ class HeckeAlgebra:
         system = self.system
         cols, elements = (system._rmult if right else system._lmult), system._elements
         coeffs, coeff_width = expanded._packed, expanded._width
-        if expanded._longest == 1 and len(coeffs) == 1:
-            # a unit T_s on either side of a kept factor whose width already
-            # holds the tripled norm: one generator step of the kept packed
-            # dict, with the dict, width and bounds the general path gives
-            [(k, c)] = coeffs.items()
-            norm, width, word = a._norm * b._norm * 3, kept._width, elements[k].word
-            if (c == 1 and len(word) == 1 and norm.bit_length() < width
-                    and coeff_width <= width):
-                return HeckeElt._from_packed(
-                    self, _generator_step(kept._packed, cols[word[0] - 1], width),
-                    width, norm, a._longest + b._longest)
         norm = a._norm * b._norm * 3 ** expanded._longest
-        # never narrower than either factor, so a chain of products keeps one
-        # width and packs nothing
-        width = max(_width(norm), coeff_width, kept._width)
-        start = kept._at_width(width)
+        width = kept._width
+        if norm.bit_length() < width and coeff_width <= width:
+            start = kept._packed
+        else:
+            width = max(_width(norm), coeff_width, width)
+            start = kept._at_width(width)
         total: dict = {}
         for k, c in coeffs.items():
             if not c:
@@ -325,10 +314,10 @@ class HeckeAlgebra:
     def _row_top(self, w: Element, max_len: int | None) -> tuple[int, int]:
         """(top, width) of w's row, checked before any step.  top, the longest
         z, is l(w0) on a finite system, which takes no max_len (a bound would
-        silently change the meaning), and the max_len an infinite one needs
-        (it has no regular trace); it lies in 0..ROW_MAX_LEN.  T_w T_z has l1
-        norm at most 3^l(z), so the width of |W| 3^l(w0), or 3^max_len on
-        I2(inf), holds every product and the sum of a row."""
+        silently change the meaning), and the max_len an infinite one needs;
+        it lies in 0..ROW_MAX_LEN.  T_w T_z has l1 norm at most 3^l(z), so the
+        width of |W| 3^l(w0), or 3^max_len on I2(inf), holds every product and
+        the sum of a row."""
         system = self.system
         system._check_member(w)
         if system.is_finite:
@@ -336,7 +325,7 @@ class HeckeAlgebra:
                 raise ValueError("max_len only applies to infinite systems")
             top, size = system.longest_element().length, len(system._elements)
         elif max_len is None:
-            raise ValueError("max_len is required for infinite systems: no regular trace")
+            raise ValueError("max_len is required for infinite systems")
         else:
             top, size = max_len, 1
         if not 0 <= top <= ROW_MAX_LEN:
@@ -377,10 +366,13 @@ class HeckeAlgebra:
         at most sum |p_z|_1 <= |W| 3^l(w0) < 2^(B-1): one decode gives the
         trace.
         """
+        system = self.system
+        if not system.is_finite:
+            raise ValueError(f"a regular trace needs a finite system; {system.label} is infinite")
         top, width = self._row_top(w, None)
-        cols = self.system._rmult
+        cols = system._rmult
         total = 0
-        for z, d in _row_walk(self.system, top, {w.index: 1},
+        for z, d in _row_walk(system, top, {w.index: 1},
                               lambda d, g: _generator_step(d, cols[g], width)):
             total += d.get(z, 0)
         return _decode(total, width)

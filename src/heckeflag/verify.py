@@ -220,7 +220,7 @@ def hecke_suite(type_spec: str = "A3") -> list[Check]:
                     bad_pos.append((w.to_json(), z.to_json(), m))
             # specializing q = 1 degenerates to the group algebra: T_{wz} alone
             # (a zero for wz is not listed, so it counts as missing)
-            ones = prod.values_at(1, nonzero=True)
+            ones = prod.values_at(1)
             want = elements[wz[x]]
             if len(ones) != 1 or ones.get(want) != 1:
                 wrong = [y for y, v in ones.items() if v != 1 or y is not want]

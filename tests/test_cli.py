@@ -139,6 +139,16 @@ def test_trace_infinite_is_error():
     assert result.status == "error"
 
 
+def test_infinite_system_diagnostics_name_what_is_missing():
+    # trace takes no --max-len, so it asks for a finite system; eset asks for
+    # the bound it takes and names no regular trace
+    trace = cli.run(["trace", "--type", "I2(inf)", "--w", "1"])
+    assert (trace.exit_code, trace.diagnostics) == (
+        1, ["a regular trace needs a finite system; I2(inf) is infinite"])
+    eset = cli.run(["eset", "--type", "I2(inf)", "--w", "1"])
+    assert (eset.exit_code, eset.diagnostics) == (1, ["max_len is required for infinite systems"])
+
+
 def test_trace_agrees_with_nconst_rows_a2():
     # sum of diagonal structure constants evaluated at n equals the trace value
     system_doc = run_json(["trace", "--type", "A2", "--w", "1,2", "--at", "7", "--format", "json"])

@@ -718,7 +718,7 @@ def test_f4_row_packs_nothing_and_decodes_no_product(monkeypatch):
         raise AssertionError("a row step packed an operand")
 
     monkeypatch.setattr(HeckeElt, "terms", property(watched_terms))
-    monkeypatch.setattr(HeckeAlgebra, "_pack", no_pack)
+    monkeypatch.setattr(HeckeElt, "__init__", no_pack)
     monkeypatch.setattr(hecke, "_repack", no_pack)
     for w in (H.system.normal_form((1, 2, 3)), H.system.longest_element()):
         row = list(H.diagonal_row(w))
@@ -749,7 +749,8 @@ def _packed_wider(H, h, extra):
     norm = sum(abs(c) for p in h.terms.values() for c in p)
     width = hecke._width(norm) + extra
     longest = max((len(x.word) for x in h.terms), default=0)
-    return HeckeElt._from_packed(H, H._pack(h, width), width, norm, longest)
+    packed = {w.index: p(1 << width) for w, p in h.terms.items()}
+    return HeckeElt._from_packed(H, packed, width, norm, longest)
 
 
 def test_widening_an_operand_decodes_nothing():
@@ -807,15 +808,10 @@ def _assert_bounds_hold(h):
 
 
 def _assert_values_at_pm1(h, want):
-    # values_at reads every term of the packed h at q = +-1: each term of
-    # want is listed, and the nonzero values are want's, which are all that
-    # nonzero=True lists
+    # values_at reads every term of the packed h at q = +-1 and lists exactly
+    # the nonzero values of want
     for q in (1, -1):
-        values = h.values_at(q)
-        nonzero = {x: p(q) for x, p in want.items() if p(q)}
-        assert set(want) <= set(values)
-        assert {x: v for x, v in values.items() if v} == nonzero
-        assert h.values_at(q, nonzero=True) == nonzero
+        assert h.values_at(q) == {x: p(q) for x, p in want.items() if p(q)}
 
 
 def _step_in_place(H, h, gen, move):
@@ -888,18 +884,20 @@ def test_values_at_reads_the_residues_mod_two_to_the_width_minus_plus_one(monkey
             continue
         p = IntPoly(coeffs)
         h = HeckeElt._from_packed(H, {x.index: p(16)}, 4, 7, 0)
-        assert h.values_at(1) == {x: p(1)}
-        assert h.values_at(-1) == {x: p(-1)}
+        assert h.values_at(1) == ({x: p(1)} if p(1) else {})
+        assert h.values_at(-1) == ({x: p(-1)} if p(-1) else {})
 
 
 def test_values_at_an_element_built_from_terms():
     H = algebra("A2")
     s1, s12 = H.system.normal_form([1]), H.system.normal_form([1, 2])
     h = HeckeElt(H, {s1: Q_MINUS_ONE, s12: IntPoly((3, 0, 2))})
-    assert h.values_at(1) == {s1: 0, s12: 5}
+    assert h.values_at(1) == {s12: 5}
     assert h.values_at(-1) == {s1: -2, s12: 5}
-    assert h.values_at(1, nonzero=True) == {s12: 5}
-    assert h.values_at(-1, nonzero=True) == {s1: -2, s12: 5}
+    # a stored zero is not listed, so equal elements have equal values
+    padded = HeckeElt._from_packed(H, {s1.index: 1, H.system.identity.index: 0}, 2, 1, 1)
+    assert padded == H.t_basis(s1)
+    assert padded.values_at(1) == H.t_basis(s1).values_at(1) == {s1: 1}
     for q in (0, 2, -2):
         with pytest.raises(ValueError, match="q = 1 or q = -1"):
             h.values_at(q)
@@ -920,6 +918,17 @@ def test_an_element_built_from_terms_is_packed_at_its_exact_norm():
         w.index: p for w, p in h.terms.items()}
     zero = H.zero()
     assert not zero and zero._packed == {} and zero.values_at(1) == {}
+
+
+def test_terms_is_read_only():
+    # a write into the decoded view would change what ==, repr and terms read
+    # but not the packed coefficients, so both kinds of element refuse it
+    H = algebra("A2")
+    s = H.system.normal_form([1])
+    for h in (H.t_basis(s), HeckeElt(H, {s: ONE})):
+        with pytest.raises(TypeError):
+            h.terms[s] = IntPoly((5,))
+        assert h == H.t_basis(s) and repr(h) == "T[1]" and h.coefficient(s) == ONE
 
 
 @pytest.mark.parametrize("bad", [(0.5,), (1, 2.0), (1, 2), 3])

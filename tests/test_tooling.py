@@ -1,7 +1,10 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package names by their
 spelling and reads some of their results; each name must exist and each result
-keep its meaning, or only the traced benchmark run breaks or drifts."""
+keep its meaning, or only the traced benchmark run breaks or drifts.  The
+benchmark's pinned work counts run here as well."""
 
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -27,3 +30,16 @@ def test_the_traced_flag_count_is_the_q_factorial():
     space = build_space(4, 5)
     assert len(space.flags) == check_space(4, 5) == 29016
     assert len(set(space.flags)) == 29016
+
+
+def test_the_benchmark_pins_hold():
+    # the selftest's pinned work counts gate the benchmark; it runs in its own
+    # process because importing perfbench/run.py sets sys.dont_write_bytecode
+    # and sys.pycache_prefix
+    pins = ["PinnedCounts.test_count_Y_total_on_gl3_f5_makes_186_relative_positions",
+            "PinnedCounts.test_e_set_on_f4_makes_1152_products",
+            "PinnedCounts.test_tracer_restores_the_package"]
+    result = subprocess.run([sys.executable, "perfbench/selftest.py", *pins],
+                            cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
+    assert "Ran 3 tests" in result.stderr
