@@ -93,8 +93,8 @@ def _render_table(header: list[str], rows: list[list]) -> str:
 
 # ---------------------------------------------------------------------------
 # commands: each returns (JSON document, CSV rows thunk with the header row
-# first, table text thunk, number of mismatched checks); run renders one
-# format of it
+# first, table text thunk, number of mismatched checks); its parser binds it
+# as ``compute``, and run renders one format of what it returns
 
 
 def _nconst(args):
@@ -196,9 +196,6 @@ def _spaces(ns: list[int] | None, qs: list[int] | None) -> list[tuple[int, int]]
     return list(zip(ns, qs))
 
 
-_COMMANDS = {"nconst": _nconst, "eset": _eset, "trace": _trace, "verify": _verify}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing and rendering
 
@@ -229,18 +226,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--type", required=True)
     p.add_argument("--w", default="")
     p.add_argument("--wp", default="")
+    p.set_defaults(compute=_nconst)
 
     p = sub.add_parser("eset", help="diagonal-support report for w")
     p.add_argument("--type", required=True)
     p.add_argument("--w", default="")
     p.add_argument("--max-len", type=int, default=None)
+    p.set_defaults(compute=_eset)
 
     p = sub.add_parser("trace", help="regular trace of T_w")
     p.add_argument("--type", required=True)
     p.add_argument("--w", default="")
     p.add_argument("--at", type=int, default=None)
+    p.set_defaults(compute=_trace)
 
     verify = sub.add_parser("verify", help="run a self-contained verification suite")
+    verify.set_defaults(compute=_verify)
     suites = verify.add_subparsers(dest="suite", required=True)
     p = suites.add_parser("hecke", help="Hecke-algebra identities on one finite type")
     p.add_argument("--type", default="A3")
@@ -264,7 +265,7 @@ def _build_parser() -> _Parser:
 def run(argv: list[str] | None = None) -> CommandResult:
     try:
         args = _build_parser().parse_args(argv)
-        doc, csv_rows, table, mismatches = _COMMANDS[args.command](args)
+        doc, csv_rows, table, mismatches = args.compute(args)
         # rendering stays inside the try: str() of an int past Python's digit
         # limit (a huge --at) raises ValueError too
         if args.format == "json":

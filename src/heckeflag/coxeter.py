@@ -4,11 +4,12 @@ Every system numbers its elements densely in ShortLex order of their
 canonical words (the ShortLex-least reduced words): index 0 is e, and an
 element's index is its position in ``elements``/``elements_up_to``.  Index
 order is length order: a longer element always has a larger index.  The
-system holds its multiplication tables as one column per generator,
-``_rmult[g][x]`` = x s_{g+1} and ``_lmult[g][x]`` = s_{g+1} x by index, its
-inverse, length and last-letter tables by index, and one Element object per
-index, so elements compare by identity.  An element holds no reference to its
-system: the system decides membership, by the object stored at the index.
+system holds its multiplication table as one column per generator,
+``_rmult[g][x]`` = x s_{g+1} by index (a left product s x = (x^-1 s)^-1 is
+read from it and the inverses), its inverse, length and last-letter tables by
+index, and one Element object per index, so elements compare by identity.  An
+element holds no reference to its system: the system decides membership, by
+the object stored at the index.
 
 Two constructions fill these tables:
 
@@ -207,11 +208,11 @@ def _alt_right(i: int, g: int, top: int | None = None) -> int:
     return i + 2 if top is None or i + 2 < top else top
 
 
-def _left_tables(rmult: list[list[int]], last: list[int]) -> tuple[list[list[int]], list[int]]:
-    """The columns s_{g+1} x and the inverses, by index, of a walk's right
-    columns and last letters.  x = p s with p = x s its parent, earlier in
-    the walk, as is the inverse of p (same length): s_g x = (s_g p) s and
-    x^-1 = s p^-1."""
+def _inverse_table(rmult: list[list[int]], last: list[int]) -> list[int]:
+    """The inverses, by index, of a walk's right columns and last letters.
+    x = p s with p = x s its parent, earlier in the walk, as is the inverse
+    of p (same length), so x^-1 = s p^-1; the left columns s_g x = (s_g p) s
+    that this reads are built here and dropped on return."""
     last_cols = [rmult[s - 1] for s in last[1:]]
     parents = [col[x] for x, col in enumerate(last_cols, 1)]
     lmult = []
@@ -223,7 +224,7 @@ def _left_tables(rmult: list[list[int]], last: list[int]) -> tuple[list[list[int
     inv = [0]
     for s, p in zip(last[1:], parents):
         inv.append(lmult[s - 1][inv[p]])
-    return lmult, inv
+    return inv
 
 
 # the longest length an I2(inf) system lists (elements_up_to), a Hecke row
@@ -305,11 +306,11 @@ class CoxeterSystem:
 
     Every system holds its elements in ShortLex order, so index order is
     length order, with tables indexed by position: ``_elements``, one column
-    per generator ``_rmult[g][x]`` and ``_lmult[g][x]`` (x s_{g+1} and
-    s_{g+1} x), ``_inv``, ``_lengths`` and ``_last`` (the last letter of x's
-    canonical word, 0 for the identity).  A root system fills them by a walk
-    keyed by the packed weight x^-1 rho, and keeps no key; a dihedral system
-    fills them from the closed forms of the index (module docstring).
+    per generator ``_rmult[g][x]`` (x s_{g+1}), ``_inv``, ``_lengths`` and
+    ``_last`` (the last letter of x's canonical word, 0 for the identity).  A
+    root system fills them by a walk keyed by the packed weight x^-1 rho, and
+    keeps no key; a dihedral system fills them from the closed forms of the
+    index (module docstring).
 
     A finite system is immutable after construction.  I2(inf) fills its
     tables on first use (a word walk stores the entries of elements of
@@ -367,9 +368,9 @@ class CoxeterSystem:
         self._rmult = rmult
         self._lengths = [len(w) for w in words]
         self._last = last = [w[-1] if w else 0 for w in words]
-        # before the elements, so that no temporary of the left tables is
-        # alive beside them
-        self._lmult, self._inv = _left_tables(rmult, last)
+        # before the elements, so that no temporary left column is alive
+        # beside them
+        self._inv = _inverse_table(rmult, last)
         self._elements = tuple(map(Element, words, itertools.count()))
         self._walk_stored = order
 
@@ -387,11 +388,9 @@ class CoxeterSystem:
         self._last = last = table(_alt_last)
         # the reversed word alternates from the last letter, with equal
         # length; w0 is its own inverse
-        self._inv = inv = table(
+        self._inv = table(
             lambda i: i if i == top else _alt_index(last[i], lengths[i]))
-        self._rmult = rmult = [table(lambda i, g=g: _alt_right(i, g, top)) for g in (0, 1)]
-        # s x = (x^-1 s)^-1
-        self._lmult = [table(lambda i, col=col: inv[col[inv[i]]]) for col in rmult]
+        self._rmult = [table(lambda i, g=g: _alt_right(i, g, top)) for g in (0, 1)]
         elements = table(lambda i: Element(_alt_word(i), i))
         self._elements = elements if m is None else tuple(elements)
         self._walk_stored = _alt_index(2, MAX_INFINITE_LEN) + 1 if m is None else 2 * m
@@ -486,10 +485,11 @@ class CoxeterSystem:
         return self._elements[self._rmult[gen - 1][a.index]]
 
     def left_mult(self, a: Element, gen: int) -> Element:
-        """s_gen * a."""
+        """s_gen * a, read as (a^-1 s_gen)^-1."""
         self._check_member(a)
         self._check_generator(gen)
-        return self._elements[self._lmult[gen - 1][a.index]]
+        inv = self._inv
+        return self._elements[inv[self._rmult[gen - 1][inv[a.index]]]]
 
     def longest_element(self) -> Element:
         if not self.is_finite:

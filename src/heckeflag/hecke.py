@@ -6,10 +6,10 @@ coefficients.  The defining relations are
     T_x T_s = T_{xs}                       if the length goes up,
     T_x T_s = q T_{xs} + (q - 1) T_x       if the length goes down,
 
-for a generator s, and symmetrically on the left.  Products of general
-elements expand basis terms along reduced words; the structure constants of
-the T-basis and the trace of left multiplication are read off from such
-products.
+for a generator s, and symmetrically on the left.  A product keeps its left
+factor and expands the basis terms of its right one along their reduced
+words, by right steps; the structure constants of the T-basis and the trace
+of left multiplication are read off from such products.
 
 Every element holds each coefficient p(q) as one packed Python int, p(2^B)
 (Kronecker substitution): adding coefficients is adding ints, multiplying by
@@ -21,7 +21,7 @@ terms carries their exact measures, a sum the sum of the norms, a multiple
 by a scalar c the norm times |c|_1, and a product a proven bound: a
 length-raising step moves a term, a length-lowering step turns p into q p
 and (q - 1) p, so a step at most triples the l1 norm, and every coefficient
-of a * b is at most |a|_1 |b|_1 3^L, L the longest word expanded.  So an
+of a * b is at most |a|_1 |b|_1 3^L, L the longest word of b.  So an
 operation sizes its result without reading terms, and uses an operand's
 packed dict as it is when its width covers the new bound (a basis element is
 1 at width 2).
@@ -253,50 +253,35 @@ class HeckeAlgebra:
     # -- products --------------------------------------------------------------
 
     def product(self, a: HeckeElt, b: HeckeElt) -> HeckeElt:
-        """The algebra product, expanding basis terms along reduced words.
-
-        The factor whose terms carry less total word length, as bounded by
-        its number of packed keys times its longest word, is the one
-        expanded (the right factor on ties): expanding T_z on the right walks
-        z's reduced word with right steps, expanding T_y on the left walks
-        y's reduced word with left steps.  Both directions evaluate the same
-        bilinear product; choosing the cheaper one keeps basis-times-general
-        products linear in the word length instead of linear in the support.
-        The product's width is never narrower than either factor's, so a
-        chain of products keeps one width and packs nothing: when the kept
-        factor's width already holds the product's bound and the expanded
-        factor's width, the product takes it and steps the kept packed dict
-        as it is (a unit T_s against such a factor is one generator step).  A
-        packed expanded factor is read without decoding: a coefficient of 1
-        is 1 at every width, and any other is re-evaluated only when its
-        width is not the product's.
+        """The algebra product a * b: each basis term T_z of b is expanded
+        along z's reduced word by right steps T_s, from a, and the results
+        are summed with b's coefficients.  The product's width is never
+        narrower than either factor's, so a chain of products keeps one width
+        and packs nothing: when a's width already holds the product's bound
+        and b's width, the product takes it and steps a's packed dict as it
+        is (a unit b = T_s is then one generator step).  b is read without
+        decoding: a coefficient of 1 is 1 at every width, and any other is
+        re-evaluated only when its width is not the product's.
         """
         if a.algebra is not self or b.algebra is not self:
             self._check_same(a)
             self._check_same(b)
-        # the cost of expanding a factor, bounded by its number of keys times
-        # its longest word
-        if len(b._packed) * b._longest <= len(a._packed) * a._longest:
-            kept, expanded, right = a, b, True
-        else:
-            kept, expanded, right = b, a, False
         system = self.system
-        cols, elements = (system._rmult if right else system._lmult), system._elements
-        coeffs, coeff_width = expanded._packed, expanded._width
-        norm = a._norm * b._norm * 3 ** expanded._longest
-        width = kept._width
+        cols, elements = system._rmult, system._elements
+        coeffs, coeff_width = b._packed, b._width
+        norm = a._norm * b._norm * 3 ** b._longest
+        width = a._width
         if norm.bit_length() < width and coeff_width <= width:
-            start = kept._packed
+            start = a._packed
         else:
             width = max(_width(norm), coeff_width, width)
-            start = kept._at_width(width)
+            start = a._at_width(width)
         total: dict = {}
         for k, c in coeffs.items():
             if not c:
                 continue
             cur = start
-            word = elements[k].word
-            for gen in word if right else reversed(word):
+            for gen in elements[k].word:
                 cur = _generator_step(cur, cols[gen - 1], width)
             if c != 1 and coeff_width != width:
                 c = _repack(c, coeff_width, width)
@@ -409,9 +394,8 @@ def _row_walk(system: CoxeterSystem, top: int, root, step):
 
 
 def _generator_step(terms: dict, col, width: int) -> dict:
-    """Generator s applied to every packed term: terms * T_s when col is s's
-    right multiplication column (col[x] = x s), T_s * terms when it is s's
-    left one (col[x] = s x).
+    """terms * T_s for every packed term, col being s's right multiplication
+    column (col[x] = x s).
 
     The pairs {x, xs} with l(xs) = l(x) + 1 partition the group, and a pair
     maps to itself: p_x T_x + p_xs T_xs goes to q p_xs T_x + (p_x + (q - 1)

@@ -166,7 +166,7 @@ def _minus_one_traces(system) -> list[int]:
     return traces
 
 
-def hecke_suite(type_spec: str = "A3") -> list[Check]:
+def hecke_suite(type_spec: str) -> list[Check]:
     """Hecke-algebra identities on one finite type, refused past the bounds."""
     system = build_system(type_spec)
     if not system.is_finite:
@@ -252,7 +252,7 @@ def hecke_suite(type_spec: str = "A3") -> list[Check]:
     ]
 
 
-def flags_suite(spaces: Sequence[tuple[int, int]] = ((2, 3),)) -> list[Check]:
+def flags_suite(spaces: Sequence[tuple[int, int]]) -> list[Check]:
     """Flag counts against Hecke values on each GL_n(F_q), (n, q) in spaces."""
     flags = sum(check_space(n, q) for n, q in spaces)
     if flags > FLAG_SPACE_MAX_FLAGS:

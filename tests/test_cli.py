@@ -5,6 +5,7 @@ covers the real entry point."""
 import csv
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from heckeflag.coxeter import MAX_FINITE_ORDER, MAX_WORD_LETTERS, CoxeterSystem
 from heckeflag.flag import FLAG_SPACE_MAX_FLAGS, FlagSpace, build_space
 from heckeflag.hecke import ROW_MAX_LEN, HeckeAlgebra, HeckeElt
 from heckeflag.poly import ONE, Q_MINUS_ONE
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_json(argv):
@@ -51,6 +54,13 @@ def test_nconst_a2_example():
 def test_nconst_identity_unit():
     doc = run_json(["nconst", "--type", "A2", "--w", "", "--wp", "2,1", "--format", "json"])
     assert doc == [{"w": [], "wp": [2, 1], "wpp": [2, 1], "N": [1]}]
+
+
+def test_a_signed_letter_reads_as_the_letter():
+    # a word reads exactly the strings int() reads: +1 is the letter 1
+    signed = cli.run(["trace", "--type", "A2", "--w", "+1,2"])
+    assert signed.status == "ok"
+    assert signed == cli.run(["trace", "--type", "A2", "--w", "1,2"])
 
 
 def test_nconst_csv():
@@ -171,11 +181,25 @@ def test_trace_agrees_with_nconst_rows_a2():
 # verify
 
 
+_DIHEDRAL_CHECKS = (
+    ["I2(4) members((s1s2)^1)", "I2(4) members((s1s2)^2)"]
+    + [f"I2(6) members((s1s2)^{k})" for k in (1, 2, 3)]
+    + [f"I2(8) members((s1s2)^{k})" for k in (1, 2, 3, 4)]
+    + [f"I2(inf) members((s1s2)^{k}) up to 14" for k in (1, 2, 3, 4, 5)]
+    + ["I2(inf) members(s1s2s1) up to 14"])
+
+
 def test_verify_dihedral_ok():
     result = cli.run(["verify", "dihedral"])
     assert result.status == "ok"
     assert result.exit_code == 0
-    assert "0 mismatches" in result.payload
+    # with no mismatch the table lists every check, one ok row each, under
+    # its header and above the summary
+    lines = result.payload.splitlines()
+    rows = [re.split(r"\s{2,}", line) for line in lines[2:-1]]
+    assert [(r[0], r[1], r[-1]) for r in rows] == [
+        ("dihedral", name, "ok") for name in _DIHEDRAL_CHECKS]
+    assert lines[-1] == "15 checks, 0 mismatches"
 
 
 def test_verify_flags_ok():
@@ -872,6 +896,29 @@ def test_help_names_the_size_bounds():
         assert bound in payload
 
 
+def test_readme_states_the_size_bounds():
+    # the README counterpart of the help text's bounds: each sentence that
+    # quotes a bound quotes the value run enforces
+    text = " ".join(_README.read_text().split())
+    order, length = verify.HECKE_SUITE_MAX_ORDER, verify.HECKE_SUITE_MAX_LEN
+    letters = f"{MAX_WORD_LETTERS:,}".replace(",", " ")
+    for bound in (f"`verify hecke` on more than {order} elements or on l(w0) > {length}",
+                  f"refuses types with more than {order} elements or l(w0) > {length}",
+                  f"on a pair over {FLAG_SPACE_MAX_FLAGS} flags",
+                  f"holding more than {FLAG_SPACE_MAX_FLAGS} flags in all",
+                  f"refuses spaces with more than {FLAG_SPACE_MAX_FLAGS} flags",
+                  f"whose w0 is longer than {ROW_MAX_LEN}",
+                  f"`eset --max-len` past {ROW_MAX_LEN}",
+                  f"`--max-len` from 0 to {ROW_MAX_LEN}",
+                  f"refuses l(w) + l(wp) > {ROW_MAX_LEN}",
+                  f"up to length {ROW_MAX_LEN} only",
+                  f"more than {MAX_FINITE_ORDER} elements or when its words hold more "
+                  f"than {letters} letters",
+                  f"as soon as it passes {MAX_FINITE_ORDER}",
+                  f'("more than {MAX_FINITE_ORDER} elements")'):
+        assert bound in text, bound
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "heckeflag", "trace", "--type", "A1", "--w", "1",
@@ -884,7 +931,7 @@ def test_subprocess_entry_point():
 
 def _readme_commands():
     # every heckeflag line of the README's "Command line" block, as argv
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = _README.read_text()
     block = text.split("## Command line", 1)[1].split("```")[1]
     return [shlex.split(line, comments=True)[1:]
             for line in block.splitlines() if line.startswith("heckeflag ")]

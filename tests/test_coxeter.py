@@ -233,6 +233,12 @@ def test_normal_form_examples():
     assert i3.normal_form([2, 1, 2]).word == (1, 2, 1)
 
 
+def test_element_repr():
+    a2 = build_system("A2")
+    assert repr(a2.identity) == "<e>"
+    assert repr(a2.normal_form([1, 2])) == "<s1.s2>"
+
+
 def test_normal_form_range_check():
     a2 = build_system("A2")
     with pytest.raises(ValueError, match="out of range"):
@@ -322,8 +328,7 @@ def test_dihedral_against_permutation_model(m):
         for y in system.elements:
             assert _perm_of(system.multiply(x, y).word, gens) == _perm_of(x.word + y.word, gens)
     walk = _keyed_bfs(tuple(range(2 * m)), lambda p, g: tuple(p[i] for i in gens[g]), 2)
-    assert ([x.word for x in system.elements], system._rmult, system._lmult,
-            system._inv, system._lengths, system._last) == walk
+    assert _layout(system) == walk
     assert [x.index for x in system.elements] == list(range(2 * m))
     assert sum(len(x.word) for x in system.elements) == m * m  # the letter guard's count
 
@@ -374,6 +379,20 @@ def test_f4_enumeration():
     f4 = build_system("F4")
     assert f4.order == 1152
     assert f4.longest_element().length == 24
+
+
+def _left_columns(system, indices):
+    """The left products s_{g+1} x by index, one column per generator, read
+    through left_mult."""
+    return [[system.left_mult(system._elements[x], g).index for x in indices]
+            for g in range(1, system.rank + 1)]
+
+
+def _layout(system):
+    """What _keyed_bfs returns, read from a finite system."""
+    return ([x.word for x in system.elements], system._rmult,
+            _left_columns(system, range(system.order)), system._inv, system._lengths,
+            system._last)
 
 
 def _keyed_bfs(identity, apply, rank):
@@ -441,9 +460,7 @@ _ROOT_TYPES = ([f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(1, 7)]
 @pytest.mark.parametrize("label", _SMALL_ROOT_TYPES)
 def test_weight_keyed_walk_matches_matrix_keyed_walk(label):
     system = build_system(label)
-    got = ([x.word for x in system.elements], system._rmult, system._lmult,
-           system._inv, system._lengths, system._last)
-    assert got == _matrix_bfs(system._model.cartan)
+    assert _layout(system) == _matrix_bfs(system._model.cartan)
     assert [x.index for x in system.elements] == list(range(system.order))
 
 
@@ -457,7 +474,7 @@ def test_index_order_is_length_order(label):
     lengths = system._lengths
     assert [lengths[i] for i in indices] == [len(system._elements[i].word) for i in indices]
     assert all(lengths[i] <= lengths[i + 1] for i in indices[:-1])
-    for cols in (system._rmult, system._lmult):
+    for cols in (system._rmult, _left_columns(system, indices)):
         assert len(cols) == system.rank
         for col in cols:
             for x in indices:
@@ -725,7 +742,7 @@ def test_a_long_infinite_word_leaves_no_table_entry_per_prefix():
     assert x.word == word and x.index == coxeter._alt_index(1, len(word))
     assert back is system.identity
     assert retained < 1_000_000, retained
-    assert all(len(col) <= bound for col in system._rmult + system._lmult)
+    assert all(len(col) <= bound for col in system._rmult)
 
 
 def test_a_root_system_build_peaks_near_what_it_keeps():
@@ -796,7 +813,8 @@ def test_infinite_dihedral_tables_match_free_reduction():
         assert system._inv[i] == index[word[::-1]]
         for g in (1, 2):
             assert system._rmult[g - 1][i] == index[_free_reduction(word + (g,))]
-            assert system._lmult[g - 1][i] == index[_free_reduction((g,) + word)]
+            assert system.left_mult(system._elements[i], g).index == index[
+                _free_reduction((g,) + word)]
 
 
 @given(st.lists(st.integers(1, 3), max_size=8), st.lists(st.integers(1, 3), max_size=8))
