@@ -102,7 +102,7 @@ def _nconst(args):
     system = build_system(args.type)
     w = system.normal_form(_parse_word(args.w))
     wp = system.normal_form(_parse_word(args.wp))
-    length = len(w.word) + len(wp.word)
+    length = w.length + wp.length
     if length > ROW_MAX_LEN:
         # the product's time and memory grow steeply with the lengths
         raise ValueError(

@@ -96,7 +96,7 @@ class HeckeElt:
         nonzero = {w: p for w, p in terms.items() if p}
         self._terms = MappingProxyType(nonzero)
         self._width = _width(self._norm)
-        self._longest = max((len(w.word) for w in nonzero), default=0)
+        self._longest = max((w.length for w in nonzero), default=0)
         base = 1 << self._width
         self._packed = {w.index: p(base) for w, p in nonzero.items()}
 
@@ -242,7 +242,7 @@ class HeckeAlgebra:
     def t_basis(self, w: Element) -> HeckeElt:
         """The basis element 1*T_w, born packed: 1 at width 2, norm 1."""
         self.system._check_member(w)
-        return HeckeElt._from_packed(self, {w.index: 1}, 2, 1, len(w.word))
+        return HeckeElt._from_packed(self, {w.index: 1}, 2, 1, w.length)
 
     def one(self) -> HeckeElt:
         return self.t_basis(self.system.identity)
@@ -281,7 +281,7 @@ class HeckeAlgebra:
             if not c:
                 continue
             cur = start
-            for gen in elements[k].word:
+            for gen in elements[k]._word:  # the stored bytes, no tuple
                 cur = _generator_step(cur, cols[gen - 1], width)
             if c != 1 and coeff_width != width:
                 c = _repack(c, coeff_width, width)
@@ -326,7 +326,7 @@ class HeckeAlgebra:
         row's width, and T_w T_e is product(T_w, T_e)."""
         top, width = self._row_top(w, max_len)
         units = [self.t_basis(s) for s in self.system.generators]
-        tw = HeckeElt._from_packed(self, {w.index: 1}, width, 1, len(w.word))
+        tw = HeckeElt._from_packed(self, {w.index: 1}, width, 1, w.length)
         elements = self.system._elements
         for x, h in _row_walk(self.system, top, self.product(tw, self.one()),
                               lambda h, g: self.product(h, units[g])):

@@ -761,6 +761,20 @@ def test_a_root_system_build_peaks_near_what_it_keeps():
     assert all(sys.getsizeof(col) == allocated for col in system._rmult)
 
 
+def test_a_b5_build_keeps_one_byte_per_letter():
+    # every canonical word is stored as bytes, one byte per letter, so a fresh
+    # B5 build (3840 elements, 48 000 letters) keeps at most 1.1 MB; with one
+    # tuple per word, 8 bytes a letter, it kept 1.3 MB
+    tracemalloc.start()
+    try:
+        system = build_system.__wrapped__("B5")
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert system.order == 3840
+    assert retained <= 1_100_000, retained
+
+
 def test_elements_up_to_a_negative_length_is_empty():
     for label in ("A2", "I2(inf)"):
         system = build_system(label)
@@ -849,6 +863,52 @@ def test_positive_root_counts():
     assert len(build_system("A3").positive_roots()) == 6
     assert len(build_system("B3").positive_roots()) == 9
     assert len(build_system("F4").positive_roots()) == 24
+
+
+def _alternating_words(m, top):
+    """The canonical words of I2(m) (m None for I2(inf)) up to length top, in
+    ShortLex order, built apart from the closed forms: the alternating words,
+    of which w0 keeps the one that starts with 1."""
+    longest = top if m is None else min(top, m)
+    words = sorted((tuple(first if k % 2 == 0 else 3 - first for k in range(length))
+                    for length in range(1, longest + 1) for first in (1, 2)),
+                   key=lambda w: (len(w), w))
+    if m is not None and longest == m:
+        words.pop()
+    return [()] + words
+
+
+def _check_public_word(x, word):
+    # the public forms of the stored word: a tuple and a list of plain ints,
+    # and the s<i> repr
+    assert type(x.word) is tuple and x.word == word
+    assert all(type(g) is int for g in x.word)
+    assert x.length == len(word)
+    assert x.to_json() == list(word) and all(type(g) is int for g in x.to_json())
+    assert repr(x) == ("<" + ".".join(f"s{g}" for g in word) + ">" if word else "<e>")
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "F4", "I2(7)", "I2(inf)"])
+def test_every_element_word_is_a_tuple_of_its_canonical_word(label):
+    system = build_system(label)
+    if label.startswith("I2"):
+        m = 7 if label == "I2(7)" else None
+        words = _alternating_words(m, 40)
+        elements = system.elements_up_to(40)
+    else:
+        words = _matrix_bfs(system._model.cartan)[0]
+        elements = system.elements
+    assert len(elements) == len(words)
+    for x, word in zip(elements, words):
+        _check_public_word(x, word)
+
+
+def test_a_500_letter_infinite_word_is_a_tuple():
+    system = build_system("I2(inf)")
+    word = (2, 1) * 250
+    x = system.normal_form(word)
+    _check_public_word(x, word)
+    assert x.index == coxeter._alt_index(2, 500)
 
 
 def test_element_json():

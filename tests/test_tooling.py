@@ -3,14 +3,18 @@ spelling and reads some of their results; each name must exist and each result
 keep its meaning, or only the traced benchmark run breaks or drifts.  The
 benchmark's pinned work counts run here as well."""
 
+import json
 import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 from heckeflag.flag import build_space, check_space
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_name_the_tracer_wraps_exists(monkeypatch):
@@ -43,3 +47,18 @@ def test_the_benchmark_pins_hold():
                             cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
     assert "Ran 3 tests" in result.stderr
+
+
+@pytest.mark.parametrize("record", ["BENCH_28.json", "BENCH_32.json"])
+def test_a_bench_record_summarises_every_end_to_end_metric(record):
+    # a committed before/after record gives both medians of every end-to-end
+    # metric of the benchmark on every workload, and its claim names one of them
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bench = json.loads((ROOT / record).read_text())
+    summary = bench["summary"]
+    for workload in (w["name"] for w in spec["workloads"]):
+        for metric in (m["name"] for m in spec["end_to_end"]):
+            medians = summary[workload][metric]
+            assert {"median_parent", "median_change"} <= medians.keys(), (workload, metric)
+    workload, metric = bench["claim"]["metric"].split()
+    assert metric in summary[workload]
